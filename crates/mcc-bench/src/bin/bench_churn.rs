@@ -132,9 +132,7 @@ fn run_case(size: i32) -> Case {
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_churn.json".to_string());
+    let out_path = mcc_bench::cli::out_path_or_exit("bench_churn", "BENCH_churn.json");
 
     let cases: Vec<Case> = SIZES.iter().map(|&s| run_case(s)).collect();
 

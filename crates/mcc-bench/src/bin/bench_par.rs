@@ -133,9 +133,7 @@ fn case_3d(k: i32, reps: u32) -> Case {
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_par_scaling.json".to_string());
+    let out_path = mcc_bench::cli::out_path_or_exit("bench_par", "BENCH_par_scaling.json");
     let cores = detected_cores();
     let bar_enforced = cores >= BAR_THREADS;
 

@@ -118,9 +118,7 @@ fn shed_scenario() -> Scenario {
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_service.json".to_string());
+    let out_path = mcc_bench::cli::out_path_or_exit("bench_service", "BENCH_service.json");
 
     let mut cases = Vec::new();
     for &log_len in &LOG_LENS {

@@ -90,9 +90,7 @@ fn case_3d(k: i32, reps: u32) -> Case {
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_sim_rounds.json".to_string());
+    let out_path = mcc_bench::cli::out_path_or_exit("bench_sim", "BENCH_sim_rounds.json");
 
     let mut cases = Vec::new();
     for width in [64i32, 128, 192] {

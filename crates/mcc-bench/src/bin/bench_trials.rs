@@ -215,9 +215,7 @@ fn case_3d(k: i32, reps: u32) -> Case {
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_routing_trials.json".to_string());
+    let out_path = mcc_bench::cli::out_path_or_exit("bench_trials", "BENCH_routing_trials.json");
 
     let mut cases = Vec::new();
     for width in [32i32, 64, 128] {

@@ -129,3 +129,18 @@ fn e12_churn_quick_table_matches_golden_snapshot() {
     // (or its RNG consumption) changed.
     assert_quick_matches_golden("e12_churn_2d.toml", "e12_churn_2d_quick.txt");
 }
+
+#[test]
+fn e5_overhead_quick_table_matches_golden_snapshot() {
+    // Pins the 2-D construction pipeline's protocol cost accounting:
+    // per-phase message counts and labelling rounds of the distributed
+    // labelling, component ids, identification and boundary protocols.
+    assert_quick_matches_golden("e5_overhead_2d.toml", "e5_overhead_2d_quick.txt");
+}
+
+#[test]
+fn e6_overhead_quick_table_matches_golden_snapshot() {
+    // The 3-D twin: distributed labelling messages and rounds plus the
+    // detection floods' message count (the `boundary` column).
+    assert_quick_matches_golden("e6_overhead_3d.toml", "e6_overhead_3d_quick.txt");
+}

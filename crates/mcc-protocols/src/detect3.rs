@@ -5,18 +5,27 @@
 //! labelling phase ends with each node having heard each neighbor's final
 //! announcement), so a node joining a flood:
 //!
+//! * records the sender of the flood message that made it join as its
+//!   parent for that flood (the source's parent is itself: its stimulus is
+//!   posted to itself),
 //! * forwards it along each in-RMP main axis whose neighbor is safe,
 //! * takes the `+` detour step only when some in-RMP main neighbor is
 //!   unsafe (the paper's "+turn" rule),
-//! * reports success by retracing its parent chain when it reaches the
+//! * reports success by retracing its parent pointers when it reaches the
 //!   flood's target face.
+//!
+//! Messages are constant-size (`Flood { kind, d }`, `Reply { kind }`): the
+//! route back to the source lives in the per-node parent pointers, not in
+//! the messages, so a forward copies no path. A reply hops along exactly
+//! the chain a carried path would name, so rounds and message counts are
+//! those of the path-carrying formulation.
 //!
 //! Tests verify the verdict equals the semantic `detect_3d` on random
 //! instances, and the message counts feed experiment E5.
 
 use fault_model::NodeStatus;
 use mesh_topo::{Axis3, Dir3, Mesh3D, C3};
-use sim_net::{Grid3, RunStats, SimNet};
+use sim_net::{Ctx, Grid3, RunStats, SimNet};
 
 use crate::labelling::DistLabelling3;
 
@@ -29,28 +38,28 @@ pub struct Detect3State {
     pub nbr_status: [Option<NodeStatus>; 6],
     /// Already joined flood `kind`?
     pub joined: [bool; 3],
-    /// Verdicts collected (meaningful at the source).
-    pub verdicts: Vec<(usize, bool)>,
+    /// Per flood kind, the index of the node this one joined from (its
+    /// own index at the source); meaningful once `joined[kind]`.
+    pub parent: [u32; 3],
+    /// Per flood kind, whether a success reply reached this node
+    /// (meaningful at the source).
+    pub reached: [bool; 3],
 }
 
 /// Flood messages.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub enum Detect3Msg {
-    /// A flood propagation step carrying the parent chain.
+    /// A flood propagation step.
     Flood {
         /// Surface kind: 0 = (-X) surface, 1 = (-Y), 2 = (-Z).
         kind: usize,
         /// Canonical destination.
         d: C3,
-        /// Parent chain back to the source (source first).
-        path: Vec<C3>,
     },
-    /// Success report retracing `path` toward the source.
+    /// Success report retracing the parent pointers toward the source.
     Reply {
         /// Surface kind reporting.
         kind: usize,
-        /// Remaining retrace chain.
-        path: Vec<C3>,
     },
 }
 
@@ -101,38 +110,33 @@ pub fn detect_distributed_3d(
         if s.get(target) == d.get(target) {
             *ok = true;
         } else {
-            net.post(
-                space.index(s),
-                Detect3Msg::Flood {
-                    kind,
-                    d,
-                    path: vec![],
-                },
-            );
+            net.post(space.index(s), Detect3Msg::Flood { kind, d });
         }
     }
     let max_rounds = 4 * (mesh.nx() + mesh.ny() + mesh.nz()) as usize + 32;
     let stats = net.run(max_rounds, move |state, inbox, ctx| {
         let me_i = ctx.me();
         let me = space.coord(me_i);
-        for (_, msg) in inbox {
+        // Report success one hop toward the source, or record it there.
+        let reply = |state: &mut Detect3State, ctx: &mut Ctx<'_, Grid3, Detect3Msg>, kind| {
+            let parent = state.parent[kind] as usize;
+            if parent == me_i {
+                state.reached[kind] = true;
+            } else {
+                ctx.send(parent, Detect3Msg::Reply { kind });
+            }
+        };
+        for &(from, msg) in inbox {
             match msg {
-                Detect3Msg::Flood { kind, d, path } => {
-                    let (kind, d) = (*kind, *d);
+                Detect3Msg::Flood { kind, d } => {
                     if !state.status.is_safe() || state.joined[kind] {
                         continue;
                     }
                     state.joined[kind] = true;
-                    let mut path = path.clone();
-                    path.push(me);
+                    state.parent[kind] = from;
                     let (main, detour, target) = surface_axes(kind);
                     if me.get(target) == d.get(target) {
-                        path.pop();
-                        if let Some(&back) = path.last() {
-                            ctx.send(space.index(back), Detect3Msg::Reply { kind, path });
-                        } else {
-                            state.verdicts.push((kind, true));
-                        }
+                        reply(state, ctx, kind);
                         continue;
                     }
                     let nbr_safe = |axis: Axis3| {
@@ -148,37 +152,22 @@ pub fn detect_distributed_3d(
                         }
                         if nbr_safe(axis) {
                             let n = space.step(me_i, axis.pos()).expect("safe => in-mesh");
-                            ctx.send(
-                                n,
-                                Detect3Msg::Flood {
-                                    kind,
-                                    d,
-                                    path: path.clone(),
-                                },
-                            );
+                            ctx.send(n, Detect3Msg::Flood { kind, d });
                         } else {
                             any_main_blocked = true;
                         }
                     }
                     if any_main_blocked && me.get(detour) < d.get(detour) && nbr_safe(detour) {
                         let n = space.step(me_i, detour.pos()).expect("safe => in-mesh");
-                        ctx.send(n, Detect3Msg::Flood { kind, d, path });
+                        ctx.send(n, Detect3Msg::Flood { kind, d });
                     }
                 }
-                Detect3Msg::Reply { kind, path } => {
-                    let mut path = path.clone();
-                    path.pop();
-                    if let Some(&back) = path.last() {
-                        ctx.send(space.index(back), Detect3Msg::Reply { kind: *kind, path });
-                    } else {
-                        state.verdicts.push((*kind, true));
-                    }
-                }
+                Detect3Msg::Reply { kind } => reply(state, ctx, kind),
             }
         }
     });
-    let verdicts = &net.state_at(s).verdicts;
-    let ok = (0..3).all(|kind| trivially_ok[kind] || verdicts.iter().any(|&(k, v)| k == kind && v));
+    let reached = net.state_at(s).reached;
+    let ok = (0..3).all(|kind| trivially_ok[kind] || reached[kind]);
     (ok, stats)
 }
 

@@ -3,25 +3,36 @@
 //! Nodes are linear indices `0..topo.len()` into dense state and inbox
 //! arrays; the link relation is a static [`Topology`] value instead of a
 //! boxed closure. Message delivery is a **double buffer**: every send of a
-//! round lands in one shared outbox `Vec`, and an `O(messages + nodes)`
-//! counting pass turns it into the next round's inbox view (a CSR layout:
-//! one offset table, one index list grouped by recipient, one payload slab
-//! in send order). No comparison sort runs, each payload is moved exactly
-//! once, no per-node `Vec` is ever allocated, and every buffer keeps its
-//! capacity across rounds.
+//! round lands in one shared outbox `Vec`, and a counting pass turns it
+//! into the next round's inbox view (one index list grouped by recipient,
+//! one payload slab in send order, and a per-node `(start, len)` pair
+//! naming each recipient's run of the list). No comparison sort runs, each
+//! payload is moved exactly once, no per-node `Vec` is ever allocated, and
+//! every buffer keeps its capacity across rounds.
+//!
+//! A round costs `O(messages + V/64)`, not `O(messages + V)`: only nodes
+//! that receive something get an offset. The invariant that makes this
+//! work is that every node **outside** the active set has `len == 0` (and
+//! `start == 0`, so its empty slice is always in bounds). Delivery first
+//! resets the pair for last round's recipients only, then counts the
+//! outbox, then assigns offsets to this round's recipients in ascending
+//! index order, then scatters. The `V/64` term is the word scan of the
+//! active bitset; nothing touches every node.
 //!
 //! Dispatch is event-driven after round 0: a [`mesh_topo::NodeSet`] tracks
 //! which nodes received messages, and only those run their handler. Round 0
 //! of every [`SimNet::run`] dispatches **all** nodes (protocols use it to
-//! announce initial state without a stimulus message); from round 1 on a
-//! node whose inbox is empty is skipped, so converged regions of the mesh
-//! cost nothing while a protocol's active frontier keeps working. Handlers
-//! must therefore change state only in round 0 or in response to messages —
-//! exactly the discipline the paper's protocols already follow.
+//! announce initial state without a stimulus message; a node that received
+//! nothing sees an empty inbox); from round 1 on a node whose inbox is
+//! empty is skipped, so converged regions of the mesh cost nothing while a
+//! protocol's active frontier keeps working. Handlers must therefore
+//! change state only in round 0 or in response to messages — exactly the
+//! discipline the paper's protocols already follow.
 //!
 //! Statistics (rounds, messages, max in-flight, quiescence) are accounted
 //! identically to the reference engine in [`crate::reference`]; the parity
-//! tests in `mcc-protocols` pin this.
+//! tests in `mcc-protocols` and this crate's delivery property test pin
+//! this.
 
 use mesh_topo::{par, NodeSet, Parallelism};
 
@@ -176,6 +187,27 @@ impl<'a, M> Iterator for InboxIter<'a, M> {
     }
 }
 
+/// One delivered round, borrowed for dispatch.
+struct Delivered<'a, M> {
+    data: &'a [(u32, M)],
+    order: &'a [u32],
+    start: &'a [u32],
+    len: &'a [u32],
+}
+
+impl<'a, M> Delivered<'a, M> {
+    /// Node `i`'s inbox; empty (the in-bounds `0..0` run) for every node
+    /// that received nothing.
+    #[inline]
+    fn inbox(&self, i: usize) -> Inbox<'a, M> {
+        let start = self.start[i] as usize;
+        Inbox {
+            data: self.data,
+            order: &self.order[start..start + self.len[i] as usize],
+        }
+    }
+}
+
 /// A deterministic synchronous network over a static [`Topology`].
 ///
 /// `S` is the per-node state, `M` the message payload. Nodes are addressed
@@ -187,11 +219,12 @@ pub struct SimNet<T: Topology, S, M> {
     /// This round's messages, `(from, payload)`, in arrival order.
     inbox_data: Vec<(u32, M)>,
     /// Slab indices grouped by recipient: node `i`'s inbox order is
-    /// `inbox_order[inbox_start[i] .. inbox_start[i + 1]]`.
+    /// `inbox_order[inbox_start[i] .. inbox_start[i] + inbox_len[i]]`.
     inbox_order: Vec<u32>,
+    /// Per-node run start and length in `inbox_order`; both are zero for
+    /// every node outside `active`.
     inbox_start: Vec<u32>,
-    /// Counting-sort write cursors (scratch, one per node).
-    cursor: Vec<u32>,
+    inbox_len: Vec<u32>,
     /// Next round's messages, `(to, from, payload)`, in send order.
     outbox: Vec<(u32, u32, M)>,
     /// Nodes with a non-empty inbox this round.
@@ -210,8 +243,8 @@ impl<T: Topology, S, M> SimNet<T, S, M> {
             states,
             inbox_data: Vec::new(),
             inbox_order: Vec::new(),
-            inbox_start: vec![0; n + 1],
-            cursor: vec![0; n],
+            inbox_start: vec![0; n],
+            inbox_len: vec![0; n],
             outbox: Vec::new(),
             active: NodeSet::new(n),
             stats: RunStats::default(),
@@ -300,33 +333,44 @@ impl<T: Topology, S, M> SimNet<T, S, M> {
     }
 
     /// Move the outbox into the inbox slab and group it by recipient in
-    /// `O(messages + nodes)`, comparison-free. Stable: each node's inbox
-    /// is ordered by sender dispatch order (ascending sender index, then
-    /// send order).
+    /// `O(messages + nodes / 64)`, comparison-free. Stable: each node's
+    /// inbox is ordered by sender dispatch order (ascending sender index,
+    /// then send order).
     fn deliver(&mut self) {
+        // Restore the invariant for last round's recipients: every node
+        // outside `active` has an empty `(0, 0)` run.
+        for i in self.active.iter() {
+            self.inbox_start[i] = 0;
+            self.inbox_len[i] = 0;
+        }
         self.active.clear();
         self.inbox_data.clear();
-        self.inbox_start.iter_mut().for_each(|o| *o = 0);
-        // Counting pass: inbox_start[i + 1] accumulates node i's count.
+        // Counting pass: each recipient joins `active` on its first message.
         for &(to, _, _) in &self.outbox {
-            self.inbox_start[to as usize + 1] += 1;
+            let len = &mut self.inbox_len[to as usize];
+            if *len == 0 {
+                self.active.insert(to as usize);
+            }
+            *len += 1;
         }
-        for i in 1..self.inbox_start.len() {
-            self.inbox_start[i] += self.inbox_start[i - 1];
+        // Offset pass over the recipients only; `inbox_len` is zeroed here
+        // and counts back up as the scatter's write cursor.
+        let mut offset = 0u32;
+        for i in self.active.iter() {
+            self.inbox_start[i] = offset;
+            offset += std::mem::take(&mut self.inbox_len[i]);
         }
         // Scatter pass: move each payload into the slab (exactly once, in
         // send order) and place its slab index at its recipient's cursor —
         // iterating in send order keeps every inbox stable. No comparison
         // sort anywhere.
-        let n = self.cursor.len();
-        self.cursor.copy_from_slice(&self.inbox_start[..n]);
         self.inbox_order.resize(self.outbox.len(), 0);
         for (k, (to, from, msg)) in self.outbox.drain(..).enumerate() {
             self.inbox_data.push((from, msg));
-            let c = &mut self.cursor[to as usize];
-            self.inbox_order[*c as usize] = k as u32;
-            *c += 1;
-            self.active.insert(to as usize);
+            let to = to as usize;
+            let len = &mut self.inbox_len[to];
+            self.inbox_order[(self.inbox_start[to] + *len) as usize] = k as u32;
+            *len += 1;
         }
     }
 
@@ -355,17 +399,20 @@ impl<T: Topology, S, M> SimNet<T, S, M> {
                     inbox_data,
                     inbox_order,
                     inbox_start,
+                    inbox_len,
                     outbox,
                     active,
                     ..
                 } = self;
                 let topo: &T = topo;
                 let n = topo.len();
+                let delivered = Delivered {
+                    data: inbox_data,
+                    order: inbox_order,
+                    start: inbox_start,
+                    len: inbox_len,
+                };
                 let mut dispatch = |i: usize| {
-                    let inbox = Inbox {
-                        data: inbox_data,
-                        order: &inbox_order[inbox_start[i] as usize..inbox_start[i + 1] as usize],
-                    };
                     let mut ctx = Ctx {
                         round,
                         me: i as u32,
@@ -373,7 +420,7 @@ impl<T: Topology, S, M> SimNet<T, S, M> {
                         outbox,
                         sent: 0,
                     };
-                    step(&mut states[i], inbox, &mut ctx);
+                    step(&mut states[i], delivered.inbox(i), &mut ctx);
                     sent_this_round += ctx.sent;
                 };
                 if round == 0 {
@@ -437,14 +484,19 @@ impl<T: Topology, S, M> SimNet<T, S, M> {
                     inbox_data,
                     inbox_order,
                     inbox_start,
+                    inbox_len,
                     outbox,
                     active,
                     ..
                 } = self;
                 let topo: &T = topo;
-                let inbox_data: &[(u32, M)] = inbox_data;
-                let inbox_order: &[u32] = inbox_order;
-                let inbox_start: &[u32] = inbox_start;
+                let delivered = Delivered {
+                    data: inbox_data,
+                    order: inbox_order,
+                    start: inbox_start,
+                    len: inbox_len,
+                };
+                let delivered = &delivered;
                 let active: &NodeSet = active;
                 std::thread::scope(|scope| {
                     let mut rest: &mut [S] = states;
@@ -458,11 +510,6 @@ impl<T: Topology, S, M> SimNet<T, S, M> {
                             let mut shard_outbox: Vec<(u32, u32, M)> = Vec::new();
                             let mut sent = 0usize;
                             let mut dispatch = |i: usize| {
-                                let inbox = Inbox {
-                                    data: inbox_data,
-                                    order: &inbox_order
-                                        [inbox_start[i] as usize..inbox_start[i + 1] as usize],
-                                };
                                 let mut ctx = Ctx {
                                     round,
                                     me: i as u32,
@@ -470,7 +517,11 @@ impl<T: Topology, S, M> SimNet<T, S, M> {
                                     outbox: &mut shard_outbox,
                                     sent: 0,
                                 };
-                                step(&mut shard_states[i - range.start], inbox, &mut ctx);
+                                step(
+                                    &mut shard_states[i - range.start],
+                                    delivered.inbox(i),
+                                    &mut ctx,
+                                );
                                 sent += ctx.sent;
                             };
                             if round == 0 {
