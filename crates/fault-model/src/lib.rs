@@ -38,8 +38,9 @@
 //! dominates the source and the preferred directions are the positive ones.
 //!
 //! Hot paths run on the flat node-state layer of [`mesh_topo::nodeset`]:
-//! the labelling closures are raster sweeps over a dense status array and
-//! component discovery BFSs over a packed unsafe-node bitset.
+//! the labelling closures are raster sweeps over a dense status array,
+//! component discovery BFSs over a packed unsafe-node bitset, and the
+//! faulty-block closure a word-parallel rule over the disabled bitset.
 //!
 //! # Examples
 //!
@@ -74,6 +75,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod block_closure;
 pub mod components;
 pub mod condition2;
 pub mod condition3;

@@ -7,19 +7,24 @@
 //! their bounding rectangles, overlapping rectangles merge) until the
 //! disabled set is a disjoint union of full rectangles.
 //!
+//! The closure is the word-parallel kernel shared with [`crate::rfb3`], run
+//! with one z plane: the rule is evaluated 64 nodes per step on the words of the
+//! disabled bitset, and components are unions of per-row runs.
+//!
 //! Compared to the MCC model the rectangle closure is orientation-blind and
 //! much more aggressive: it is the baseline the paper's evaluation counts
 //! sacrificed healthy nodes against.
 
 use mesh_topo::{Mesh2D, NodeSet, NodeSpace2, Rect, C2};
 
+use crate::block_closure;
 use crate::oracle;
 
 /// The rectangular-faulty-block decomposition of a mesh.
 ///
 /// The disabled set lives on the flat node-state layer: a [`NodeSet`]
-/// bitset over the mesh's [`NodeSpace2`], with the closure worklist and
-/// component scans running over linear node indices.
+/// bitset over the mesh's [`NodeSpace2`]; the blocks are listed in
+/// ascending linear index of their low corner.
 #[derive(Clone, Debug)]
 pub struct FaultBlocks2 {
     space: NodeSpace2,
@@ -36,102 +41,23 @@ impl FaultBlocks2 {
     /// orientation-independent).
     pub fn compute(mesh: &Mesh2D) -> FaultBlocks2 {
         let space = mesh.space();
-        let mut disabled = mesh.fault_set().clone();
-        let mut blocks;
-        loop {
-            let grew = Self::close_rule(space, &mut disabled);
-            blocks = Self::boxes_of_components(space, &disabled);
-            let filled = Self::fill_boxes(space, &mut disabled, &blocks);
-            if !grew && !filled {
-                break;
-            }
-        }
+        let (nx, ny) = (space.width() as usize, space.height() as usize);
+        let (disabled, boxes) = block_closure::close(nx, ny, 1, space.wraps(), mesh.fault_set());
+        let blocks = boxes
+            .iter()
+            .map(|b| Rect {
+                x0: b.lo.x,
+                y0: b.lo.y,
+                x1: b.hi.x,
+                y1: b.hi.y,
+            })
+            .collect();
         FaultBlocks2 {
             space,
             disabled,
             blocks,
             fault_count: mesh.fault_count(),
         }
-    }
-
-    /// One pass of the "two or more faulty/disabled neighbors" rule to a
-    /// fixpoint. Returns true if any node was newly disabled.
-    fn close_rule(space: NodeSpace2, disabled: &mut NodeSet) -> bool {
-        let rule = |set: &NodeSet, i: usize| {
-            let mut n = 0;
-            space.for_neighbors4(i, |j| n += set.contains(j) as usize);
-            n >= 2
-        };
-        let mut grew = false;
-        let mut work: Vec<usize> = (0..space.len()).collect();
-        while let Some(u) = work.pop() {
-            if disabled.contains(u) || !rule(disabled, u) {
-                continue;
-            }
-            disabled.insert(u);
-            grew = true;
-            space.for_neighbors4(u, |v| {
-                if !disabled.contains(v) {
-                    work.push(v);
-                }
-            });
-        }
-        grew
-    }
-
-    /// Bounding rectangles of the connected disabled components, merged
-    /// until pairwise disjoint.
-    fn boxes_of_components(space: NodeSpace2, disabled: &NodeSet) -> Vec<Rect> {
-        let mut seen = NodeSet::new(space.len());
-        let mut blocks: Vec<Rect> = Vec::new();
-        let mut queue: Vec<usize> = Vec::new();
-        for start in disabled.iter() {
-            if seen.contains(start) {
-                continue;
-            }
-            let mut rect = Rect::point(space.coord(start));
-            queue.clear();
-            queue.push(start);
-            seen.insert(start);
-            while let Some(u) = queue.pop() {
-                rect.include(space.coord(u));
-                space.for_neighbors4(u, |v| {
-                    if disabled.contains(v) && seen.insert(v) {
-                        queue.push(v);
-                    }
-                });
-            }
-            blocks.push(rect);
-        }
-        loop {
-            let mut merged = false;
-            'outer: for i in 0..blocks.len() {
-                for j in (i + 1)..blocks.len() {
-                    if blocks[i].intersects(&blocks[j]) {
-                        blocks[i] = blocks[i].union(&blocks[j]);
-                        blocks.swap_remove(j);
-                        merged = true;
-                        break 'outer;
-                    }
-                }
-            }
-            if !merged {
-                return blocks;
-            }
-        }
-    }
-
-    /// Disable every cell of every block. Returns true if anything changed.
-    fn fill_boxes(space: NodeSpace2, disabled: &mut NodeSet, blocks: &[Rect]) -> bool {
-        let mut changed = false;
-        for r in blocks {
-            for c in r.iter() {
-                if let Some(i) = space.index_checked(c) {
-                    changed |= disabled.insert(i);
-                }
-            }
-        }
-        changed
     }
 
     /// True if `c` is inside some fault block (faulty or disabled).

@@ -6,16 +6,22 @@
 //! neighbors. The closure is iterated together with cuboid completion
 //! (components widen to bounding boxes, intersecting boxes merge, boxes are
 //! filled) until the disabled set is a disjoint union of full cuboids.
+//!
+//! The closure runs 64 nodes per step on the words of the disabled bitset:
+//! a dirty-word worklist for the rule, union-find over the x-runs of each
+//! row for the components, and range masks for the fill (see
+//! `block_closure`, shared with [`crate::rfb2`]).
 
 use mesh_topo::{Box3, Mesh3D, NodeSet, NodeSpace3, C3};
 
+use crate::block_closure;
 use crate::oracle;
 
 /// The cuboid-faulty-block decomposition of a 3-D mesh.
 ///
 /// Like [`crate::rfb2::FaultBlocks2`], the disabled set is a [`NodeSet`]
-/// bitset over the mesh's [`NodeSpace3`], and the closure runs on linear
-/// node indices.
+/// bitset over the mesh's [`NodeSpace3`], and the blocks are listed in
+/// ascending linear index of their `lo` corner.
 #[derive(Clone, Debug)]
 pub struct FaultBlocks3 {
     space: NodeSpace3,
@@ -29,102 +35,14 @@ impl FaultBlocks3 {
     /// Compute the cuboid-block closure of the mesh's fault set.
     pub fn compute(mesh: &Mesh3D) -> FaultBlocks3 {
         let space = mesh.space();
-        let mut disabled = mesh.fault_set().clone();
-        let mut blocks;
-        loop {
-            let grew = Self::close_rule(space, &mut disabled);
-            blocks = Self::boxes_of_components(space, &disabled);
-            let filled = Self::fill_boxes(space, &mut disabled, &blocks);
-            if !grew && !filled {
-                break;
-            }
-        }
+        let [nx, ny, nz] = [space.nx(), space.ny(), space.nz()].map(|n| n as usize);
+        let (disabled, blocks) = block_closure::close(nx, ny, nz, space.wraps(), mesh.fault_set());
         FaultBlocks3 {
             space,
             disabled,
             blocks,
             fault_count: mesh.fault_count(),
         }
-    }
-
-    /// "Two or more faulty/disabled neighbors" rule, to a fixpoint.
-    /// Returns true if any node was newly disabled.
-    fn close_rule(space: NodeSpace3, disabled: &mut NodeSet) -> bool {
-        let rule = |set: &NodeSet, i: usize| {
-            let mut n = 0;
-            space.for_neighbors6(i, |j| n += set.contains(j) as usize);
-            n >= 2
-        };
-        let mut grew = false;
-        let mut work: Vec<usize> = (0..space.len()).collect();
-        while let Some(u) = work.pop() {
-            if disabled.contains(u) || !rule(disabled, u) {
-                continue;
-            }
-            disabled.insert(u);
-            grew = true;
-            space.for_neighbors6(u, |v| {
-                if !disabled.contains(v) {
-                    work.push(v);
-                }
-            });
-        }
-        grew
-    }
-
-    /// Bounding boxes of the connected disabled components, merged until
-    /// pairwise disjoint.
-    fn boxes_of_components(space: NodeSpace3, disabled: &NodeSet) -> Vec<Box3> {
-        let mut seen = NodeSet::new(space.len());
-        let mut blocks: Vec<Box3> = Vec::new();
-        let mut queue: Vec<usize> = Vec::new();
-        for start in disabled.iter() {
-            if seen.contains(start) {
-                continue;
-            }
-            let mut bb = Box3::point(space.coord(start));
-            queue.clear();
-            queue.push(start);
-            seen.insert(start);
-            while let Some(u) = queue.pop() {
-                bb.include(space.coord(u));
-                space.for_neighbors6(u, |v| {
-                    if disabled.contains(v) && seen.insert(v) {
-                        queue.push(v);
-                    }
-                });
-            }
-            blocks.push(bb);
-        }
-        loop {
-            let mut merged = false;
-            'outer: for i in 0..blocks.len() {
-                for j in (i + 1)..blocks.len() {
-                    if blocks[i].intersects(&blocks[j]) {
-                        blocks[i] = blocks[i].union(&blocks[j]);
-                        blocks.swap_remove(j);
-                        merged = true;
-                        break 'outer;
-                    }
-                }
-            }
-            if !merged {
-                return blocks;
-            }
-        }
-    }
-
-    /// Disable every cell of every block. Returns true if anything changed.
-    fn fill_boxes(space: NodeSpace3, disabled: &mut NodeSet, blocks: &[Box3]) -> bool {
-        let mut changed = false;
-        for b in blocks {
-            for c in b.iter() {
-                if let Some(i) = space.index_checked(c) {
-                    changed |= disabled.insert(i);
-                }
-            }
-        }
-        changed
     }
 
     /// True if `c` is inside some fault cuboid.

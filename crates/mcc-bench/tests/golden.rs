@@ -37,6 +37,27 @@ fn assert_quick_matches_golden(scenario_file: &str, golden_file: &str) {
 }
 
 #[test]
+fn e1_regions_quick_table_matches_golden_snapshot() {
+    // Pins the 2-D fault-region counts, including the rectangular
+    // faulty-block baseline's sacrificed nodes (`RFB`) and block count
+    // (`#RFB`).
+    assert_quick_matches_golden("e1_regions_2d.toml", "e1_regions_2d_quick.txt");
+}
+
+#[test]
+fn e2_regions_quick_table_matches_golden_snapshot() {
+    // The 3-D twin: MCC against the cuboid faulty-block model.
+    assert_quick_matches_golden("e2_regions_3d.toml", "e2_regions_3d_quick.txt");
+}
+
+#[test]
+fn e3_routing_quick_table_matches_golden_snapshot() {
+    // The paper's 3-D routing table: MCC and cuboid-block success rates
+    // against the oracle.
+    assert_quick_matches_golden("e3_routing_3d.toml", "e3_routing_3d_quick.txt");
+}
+
+#[test]
 fn e4_quick_table_matches_golden_snapshot() {
     assert_quick_matches_golden("e4_routing_2d.toml", "e4_routing_2d_quick.txt");
 }
