@@ -15,10 +15,13 @@
 //! unvisited seeds, and the BFS frontier holds linear node indices whose
 //! neighbors come from [`NodeSpace2::for_neighbors8`] /
 //! [`NodeSpace3::for_neighbors18`] — no hashing, no per-node coordinate
-//! arithmetic beyond one decode per visit.
+//! arithmetic beyond one decode per visit. Discovery and repair are written
+//! once, generic over the crate-internal index-space trait of the closure
+//! core; [`Components2`] and [`Components3`] are thin shells over them.
 
-use mesh_topo::{NodeGrid, NodeSpace2, NodeSpace3, C2, C3};
+use mesh_topo::{NodeGrid, NodeSet, NodeSpace2, NodeSpace3, C2, C3};
 
+use crate::closure::Lattice;
 use crate::labelling2::Labelling2;
 use crate::labelling3::Labelling3;
 
@@ -96,32 +99,12 @@ pub struct Components3 {
 impl Components2 {
     /// Decompose the unsafe set of `lab` into connected components.
     pub fn compute(lab: &Labelling2) -> Components2 {
-        let space = lab.space();
-        let unsafe_set = lab.unsafe_set();
-        let mut id = NodeGrid::new(space.len(), NO_COMPONENT);
-        let mut cells: Vec<Vec<C2>> = Vec::new();
-        let mut queue: Vec<usize> = Vec::new();
-        for start in unsafe_set.iter() {
-            if id[start] != NO_COMPONENT {
-                continue;
-            }
-            let comp = cells.len() as u32;
-            let mut comp_cells = Vec::new();
-            queue.clear();
-            queue.push(start);
-            id[start] = comp;
-            while let Some(u) = queue.pop() {
-                comp_cells.push(space.coord(u));
-                space.for_neighbors8(u, |v| {
-                    if unsafe_set.contains(v) && id[v] == NO_COMPONENT {
-                        id[v] = comp;
-                        queue.push(v);
-                    }
-                });
-            }
-            cells.push(comp_cells);
+        let (id, cells) = discover(lab.space(), lab.unsafe_set());
+        Components2 {
+            space: lab.space(),
+            id,
+            cells,
         }
-        Components2 { space, id, cells }
     }
 
     /// Number of components.
@@ -155,151 +138,25 @@ impl Components2 {
     /// Returns the provenance of every post-repair component — the input
     /// MCC repair needs to decide which shapes to re-extract.
     pub fn repair(&mut self, lab: &Labelling2, changed: &[usize]) -> Vec<CompSource> {
-        let space = self.space;
-        let unsafe_set = lab.unsafe_set();
-        let id = &mut self.id;
-        let cells = &mut self.cells;
-        let mut affected: Vec<u32> = Vec::new();
-        let mut added: Vec<usize> = Vec::new();
-        for &i in changed {
-            let now = unsafe_set.contains(i);
-            let was = id[i] != NO_COMPONENT;
-            if now && !was {
-                added.push(i);
-                space.for_neighbors8(i, |v| {
-                    if id[v] != NO_COMPONENT {
-                        affected.push(id[v]);
-                    }
-                });
-            } else if !now && was {
-                affected.push(id[i]);
-            }
-        }
-        if added.is_empty() && affected.is_empty() {
-            return (0..cells.len())
-                .map(|old| CompSource::Carried { old })
-                .collect();
-        }
-        affected.sort_unstable();
-        affected.dedup();
-        // Clear the affected components and collect the rebuild seeds:
-        // their still-unsafe cells plus the newly unsafe nodes, ascending.
-        let mut seeds = added;
-        for &a in &affected {
-            for &c in &cells[a as usize] {
-                let i = space.index(c);
-                id[i] = NO_COMPONENT;
-                if unsafe_set.contains(i) {
-                    seeds.push(i);
-                }
-            }
-        }
-        seeds.sort_unstable();
-        seeds.dedup();
-        // Re-discover inside the cleared region with compute()'s DFS. A
-        // surviving component is never adjacent to the region: any bridge
-        // runs through an added node, whose neighbor components were all
-        // marked affected above — so the `id[v] == NO_COMPONENT` guard
-        // confines the walk exactly as in a full compute.
-        let mut rebuilt: Vec<Vec<C2>> = Vec::new();
-        let mut queue: Vec<usize> = Vec::new();
-        for &start in &seeds {
-            if id[start] != NO_COMPONENT {
-                continue;
-            }
-            let mark = (cells.len() + rebuilt.len()) as u32;
-            let mut comp_cells = Vec::new();
-            queue.clear();
-            queue.push(start);
-            id[start] = mark;
-            while let Some(u) = queue.pop() {
-                comp_cells.push(space.coord(u));
-                space.for_neighbors8(u, |v| {
-                    if unsafe_set.contains(v) && id[v] == NO_COMPONENT {
-                        id[v] = mark;
-                        queue.push(v);
-                    }
-                });
-            }
-            rebuilt.push(comp_cells);
-        }
-        // Merge survivors and rebuilds in min-cell-index order — the order
-        // compute() discovers components in (each seed above, like each
-        // compute() seed, is its component's smallest index) — rewriting
-        // ids only where they differ from the pre-repair value.
-        let mut affected_mask = vec![false; cells.len()];
-        for &a in &affected {
-            affected_mask[a as usize] = true;
-        }
-        let survivors: Vec<(usize, Vec<C2>)> = std::mem::take(cells)
-            .into_iter()
-            .enumerate()
-            .filter(|&(o, _)| !affected_mask[o])
-            .collect();
-        let mut out: Vec<Vec<C2>> = Vec::with_capacity(survivors.len() + rebuilt.len());
-        let mut sources: Vec<CompSource> = Vec::with_capacity(survivors.len() + rebuilt.len());
-        let mut sv = survivors.into_iter().peekable();
-        let mut rb = rebuilt.into_iter().peekable();
-        loop {
-            let take_survivor = match (sv.peek(), rb.peek()) {
-                (Some((_, sc)), Some(rc)) => space.index(sc[0]) < space.index(rc[0]),
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let new_id = out.len() as u32;
-            if take_survivor {
-                let (old, comp_cells) = sv.next().expect("peeked");
-                if old as u32 != new_id {
-                    for &c in &comp_cells {
-                        id[space.index(c)] = new_id;
-                    }
-                }
-                sources.push(CompSource::Carried { old });
-                out.push(comp_cells);
-            } else {
-                let comp_cells = rb.next().expect("peeked");
-                for &c in &comp_cells {
-                    id[space.index(c)] = new_id;
-                }
-                sources.push(CompSource::Rebuilt);
-                out.push(comp_cells);
-            }
-        }
-        *cells = out;
-        sources
+        repair(
+            self.space,
+            &mut self.id,
+            &mut self.cells,
+            lab.unsafe_set(),
+            changed,
+        )
     }
 }
 
 impl Components3 {
     /// Decompose the unsafe set of `lab` into connected components.
     pub fn compute(lab: &Labelling3) -> Components3 {
-        let space = lab.space();
-        let unsafe_set = lab.unsafe_set();
-        let mut id = NodeGrid::new(space.len(), NO_COMPONENT);
-        let mut cells: Vec<Vec<C3>> = Vec::new();
-        let mut queue: Vec<usize> = Vec::new();
-        for start in unsafe_set.iter() {
-            if id[start] != NO_COMPONENT {
-                continue;
-            }
-            let comp = cells.len() as u32;
-            let mut comp_cells = Vec::new();
-            queue.clear();
-            queue.push(start);
-            id[start] = comp;
-            while let Some(u) = queue.pop() {
-                comp_cells.push(space.coord(u));
-                space.for_neighbors18(u, |v| {
-                    if unsafe_set.contains(v) && id[v] == NO_COMPONENT {
-                        id[v] = comp;
-                        queue.push(v);
-                    }
-                });
-            }
-            cells.push(comp_cells);
+        let (id, cells) = discover(lab.space(), lab.unsafe_set());
+        Components3 {
+            space: lab.space(),
+            id,
+            cells,
         }
-        Components3 { space, id, cells }
     }
 
     /// Number of components.
@@ -325,109 +182,156 @@ impl Components3 {
     /// bit-for-bit identical to `Components3::compute(lab)`, returns the
     /// per-component provenance.
     pub fn repair(&mut self, lab: &Labelling3, changed: &[usize]) -> Vec<CompSource> {
-        let space = self.space;
-        let unsafe_set = lab.unsafe_set();
-        let id = &mut self.id;
-        let cells = &mut self.cells;
-        let mut affected: Vec<u32> = Vec::new();
-        let mut added: Vec<usize> = Vec::new();
-        for &i in changed {
-            let now = unsafe_set.contains(i);
-            let was = id[i] != NO_COMPONENT;
-            if now && !was {
-                added.push(i);
-                space.for_neighbors18(i, |v| {
-                    if id[v] != NO_COMPONENT {
-                        affected.push(id[v]);
-                    }
-                });
-            } else if !now && was {
-                affected.push(id[i]);
-            }
-        }
-        if added.is_empty() && affected.is_empty() {
-            return (0..cells.len())
-                .map(|old| CompSource::Carried { old })
-                .collect();
-        }
-        affected.sort_unstable();
-        affected.dedup();
-        let mut seeds = added;
-        for &a in &affected {
-            for &c in &cells[a as usize] {
-                let i = space.index(c);
-                id[i] = NO_COMPONENT;
-                if unsafe_set.contains(i) {
-                    seeds.push(i);
-                }
-            }
-        }
-        seeds.sort_unstable();
-        seeds.dedup();
-        let mut rebuilt: Vec<Vec<C3>> = Vec::new();
-        let mut queue: Vec<usize> = Vec::new();
-        for &start in &seeds {
-            if id[start] != NO_COMPONENT {
-                continue;
-            }
-            let mark = (cells.len() + rebuilt.len()) as u32;
-            let mut comp_cells = Vec::new();
-            queue.clear();
-            queue.push(start);
-            id[start] = mark;
-            while let Some(u) = queue.pop() {
-                comp_cells.push(space.coord(u));
-                space.for_neighbors18(u, |v| {
-                    if unsafe_set.contains(v) && id[v] == NO_COMPONENT {
-                        id[v] = mark;
-                        queue.push(v);
-                    }
-                });
-            }
-            rebuilt.push(comp_cells);
-        }
-        let mut affected_mask = vec![false; cells.len()];
-        for &a in &affected {
-            affected_mask[a as usize] = true;
-        }
-        let survivors: Vec<(usize, Vec<C3>)> = std::mem::take(cells)
-            .into_iter()
-            .enumerate()
-            .filter(|&(o, _)| !affected_mask[o])
-            .collect();
-        let mut out: Vec<Vec<C3>> = Vec::with_capacity(survivors.len() + rebuilt.len());
-        let mut sources: Vec<CompSource> = Vec::with_capacity(survivors.len() + rebuilt.len());
-        let mut sv = survivors.into_iter().peekable();
-        let mut rb = rebuilt.into_iter().peekable();
-        loop {
-            let take_survivor = match (sv.peek(), rb.peek()) {
-                (Some((_, sc)), Some(rc)) => space.index(sc[0]) < space.index(rc[0]),
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let new_id = out.len() as u32;
-            if take_survivor {
-                let (old, comp_cells) = sv.next().expect("peeked");
-                if old as u32 != new_id {
-                    for &c in &comp_cells {
-                        id[space.index(c)] = new_id;
-                    }
-                }
-                sources.push(CompSource::Carried { old });
-                out.push(comp_cells);
-            } else {
-                let comp_cells = rb.next().expect("peeked");
-                for &c in &comp_cells {
-                    id[space.index(c)] = new_id;
-                }
-                sources.push(CompSource::Rebuilt);
-                out.push(comp_cells);
-            }
-        }
-        *cells = out;
-        sources
+        repair(
+            self.space,
+            &mut self.id,
+            &mut self.cells,
+            lab.unsafe_set(),
+            changed,
+        )
     }
+}
+
+/// Component discovery over the whole unsafe set: the id grid and the
+/// cells of each component, in discovery order.
+fn discover<S: Lattice>(space: S, unsafe_set: &NodeSet) -> (NodeGrid<u32>, Vec<Vec<S::Coord>>) {
+    let mut id = NodeGrid::new(unsafe_set.capacity(), NO_COMPONENT);
+    let cells = flood(space, unsafe_set, &mut id, unsafe_set.iter(), 0);
+    (id, cells)
+}
+
+/// Flood one new component from every seed not yet in a component, in seed
+/// order, numbering them from `first`. The DFS walks region neighbors
+/// (8 in 2-D, 18 in 3-D) through unsafe nodes without an id, so already
+/// numbered components confine it.
+fn flood<S: Lattice>(
+    space: S,
+    unsafe_set: &NodeSet,
+    id: &mut NodeGrid<u32>,
+    seeds: impl IntoIterator<Item = usize>,
+    first: usize,
+) -> Vec<Vec<S::Coord>> {
+    let mut comps: Vec<Vec<S::Coord>> = Vec::new();
+    let mut queue: Vec<usize> = Vec::new();
+    for start in seeds {
+        if id[start] != NO_COMPONENT {
+            continue;
+        }
+        let mark = (first + comps.len()) as u32;
+        let mut comp_cells = Vec::new();
+        queue.push(start);
+        id[start] = mark;
+        while let Some(u) = queue.pop() {
+            comp_cells.push(space.coord(u));
+            space.for_region_neighbors(u, |v| {
+                if unsafe_set.contains(v) && id[v] == NO_COMPONENT {
+                    id[v] = mark;
+                    queue.push(v);
+                }
+            });
+        }
+        comps.push(comp_cells);
+    }
+    comps
+}
+
+/// The incremental repair behind [`Components2::repair`] and
+/// [`Components3::repair`].
+fn repair<S: Lattice>(
+    space: S,
+    id: &mut NodeGrid<u32>,
+    cells: &mut Vec<Vec<S::Coord>>,
+    unsafe_set: &NodeSet,
+    changed: &[usize],
+) -> Vec<CompSource> {
+    let mut affected: Vec<u32> = Vec::new();
+    let mut added: Vec<usize> = Vec::new();
+    for &i in changed {
+        let now = unsafe_set.contains(i);
+        let was = id[i] != NO_COMPONENT;
+        if now && !was {
+            added.push(i);
+            space.for_region_neighbors(i, |v| {
+                if id[v] != NO_COMPONENT {
+                    affected.push(id[v]);
+                }
+            });
+        } else if !now && was {
+            affected.push(id[i]);
+        }
+    }
+    if added.is_empty() && affected.is_empty() {
+        return (0..cells.len())
+            .map(|old| CompSource::Carried { old })
+            .collect();
+    }
+    affected.sort_unstable();
+    affected.dedup();
+    // Clear the affected components and collect the rebuild seeds:
+    // their still-unsafe cells plus the newly unsafe nodes, ascending.
+    let mut seeds = added;
+    for &a in &affected {
+        for &c in &cells[a as usize] {
+            let i = space.index(c);
+            id[i] = NO_COMPONENT;
+            if unsafe_set.contains(i) {
+                seeds.push(i);
+            }
+        }
+    }
+    seeds.sort_unstable();
+    seeds.dedup();
+    // Re-discover inside the cleared region with compute()'s DFS. A
+    // surviving component is never adjacent to the region: any bridge
+    // runs through an added node, whose neighbor components were all
+    // marked affected above — so the `id[v] == NO_COMPONENT` guard
+    // confines the walk exactly as in a full compute.
+    let rebuilt = flood(space, unsafe_set, id, seeds, cells.len());
+    // Merge survivors and rebuilds in min-cell-index order — the order
+    // compute() discovers components in (each seed above, like each
+    // compute() seed, is its component's smallest index) — rewriting
+    // ids only where they differ from the pre-repair value.
+    let mut affected_mask = vec![false; cells.len()];
+    for &a in &affected {
+        affected_mask[a as usize] = true;
+    }
+    let survivors: Vec<(usize, Vec<S::Coord>)> = std::mem::take(cells)
+        .into_iter()
+        .enumerate()
+        .filter(|&(o, _)| !affected_mask[o])
+        .collect();
+    let mut out: Vec<Vec<S::Coord>> = Vec::with_capacity(survivors.len() + rebuilt.len());
+    let mut sources: Vec<CompSource> = Vec::with_capacity(survivors.len() + rebuilt.len());
+    let mut sv = survivors.into_iter().peekable();
+    let mut rb = rebuilt.into_iter().peekable();
+    loop {
+        let take_survivor = match (sv.peek(), rb.peek()) {
+            (Some((_, sc)), Some(rc)) => space.index(sc[0]) < space.index(rc[0]),
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => break,
+        };
+        let new_id = out.len() as u32;
+        let (source, comp_cells) = if take_survivor {
+            let (old, comp_cells) = sv.next().expect("peeked");
+            (CompSource::Carried { old }, comp_cells)
+        } else {
+            (CompSource::Rebuilt, rb.next().expect("peeked"))
+        };
+        if source
+            != (CompSource::Carried {
+                old: new_id as usize,
+            })
+        {
+            for &c in &comp_cells {
+                id[space.index(c)] = new_id;
+            }
+        }
+        sources.push(source);
+        out.push(comp_cells);
+    }
+    *cells = out;
+    sources
 }
 
 #[cfg(test)]

@@ -882,7 +882,7 @@ mod tests {
     /// missing invalidation path, not silently pass.
     #[test]
     fn skipping_heal_retraction_breaks_equivalence() {
-        use crate::labelling2::mutation::SKIP_HEAL_RETRACTION;
+        use crate::closure::mutation::SKIP_HEAL_RETRACTION;
 
         struct Reset;
         impl Drop for Reset {
@@ -919,5 +919,38 @@ mod tests {
             "mutated repair must leave the stale label the battery would flag"
         );
         assert_ne!(stale, fresh.status(c2(11, 2)), "equivalence check fails");
+        SKIP_HEAL_RETRACTION.with(|f| f.set(false));
+
+        // The 3-D twin runs the same shared worklist: on a 6-ary torus
+        // (one heal is far below the bulk tier), (0,2,2) is useless behind
+        // its three faulty `+` neighbors, and (5,2,2) is useless through
+        // the x wrap seam. Healing (1,2,2) must retract both.
+        let mut torus = Mesh3D::torus_kary(6);
+        for c in [
+            c3(1, 2, 2),
+            c3(0, 3, 2),
+            c3(0, 2, 3),
+            c3(5, 3, 2),
+            c3(5, 2, 3),
+        ] {
+            torus.inject_fault(c);
+        }
+        let mut inc = IncrementalModels3::new(torus, BorderPolicy::BorderSafe);
+        let frame = Frame3::identity(inc.mesh());
+        assert!(inc.models(frame).lab.status(c3(5, 2, 2)).is_useless());
+
+        SKIP_HEAL_RETRACTION.with(|f| f.set(true));
+        inc.apply(&[], &[c3(1, 2, 2)]);
+        let mesh = inc.mesh().clone();
+        let stale = inc.models(frame).lab.status(c3(5, 2, 2));
+        let fresh = Labelling3::compute(&mesh, frame, BorderPolicy::BorderSafe);
+        assert!(
+            fresh.status(c3(5, 2, 2)).is_safe(),
+            "ground truth: the label must retract"
+        );
+        assert!(
+            stale.is_useless(),
+            "mutated 3-D repair must leave the stale label the battery would flag"
+        );
     }
 }

@@ -26,10 +26,17 @@
 //! (extra passes only when a label chain crosses the wrap seam), and the
 //! fixpoint is property-tested equal to the definitional worklist closure
 //! over the wrapped neighbor relation (`tests/properties.rs`).
+//!
+//! The sweeps, the churn repair and the unsafe-set build are shared with
+//! [`crate::labelling3`]: one crate-internal closure core runs a 2-D mesh
+//! as the 3-D raster with a one-node middle axis, its rows as the planes
+//! the tiled wavefront bands. [`BULK_REPAIR_FANOUT`], the repair tier
+//! cut-over of both dimensions, lives in that core and is re-exported here.
 
-use mesh_topo::{par, Frame2, Mesh2D, NodeGrid, NodeSet, NodeSpace2, Parallelism, C2};
+use mesh_topo::{Frame2, Mesh2D, NodeGrid, NodeSet, NodeSpace2, Parallelism, C2};
 
-use crate::par::{unsafe_set_par, wavefront, SweepDir, PAR_MIN_NODES, TILES_PER_THREAD};
+use crate::closure;
+pub use crate::closure::BULK_REPAIR_FANOUT;
 use crate::status::{BorderPolicy, NodeStatus};
 
 /// The fixpoint of Algorithm 1 for one quadrant orientation of a mesh.
@@ -46,44 +53,17 @@ pub struct Labelling2 {
 }
 
 impl Labelling2 {
-    /// Run the labelling closure for `mesh` under `frame`.
+    /// Run the labelling closure for `mesh` under `frame`: the one-band
+    /// case of [`Labelling2::compute_par`].
     pub fn compute(mesh: &Mesh2D, frame: Frame2, policy: BorderPolicy) -> Labelling2 {
-        let space = mesh.space();
-        let mut status = NodeGrid::new(space.len(), NodeStatus::SAFE);
-        for &f in mesh.faults() {
-            status[space.index(frame.to_canon(f))] = NodeStatus::FAULT;
-        }
-
-        let border_blocks = matches!(policy, BorderPolicy::BorderBlocked);
-        let w = space.width() as usize;
-        let h = space.height() as usize;
-        let wraps = space.wraps();
-        let s = status.as_mut_slice();
-
-        useless_fixpoint(s, w, h, wraps, border_blocks);
-        cant_reach_fixpoint(s, w, h, wraps, border_blocks);
-
-        let mut unsafe_set = NodeSet::new(space.len());
-        for (i, st) in status.iter() {
-            if st.is_unsafe() {
-                unsafe_set.insert(i);
-            }
-        }
-        Labelling2 {
-            frame,
-            policy,
-            space,
-            status,
-            unsafe_set,
-        }
+        Labelling2::compute_par(mesh, frame, policy, Parallelism::SEQ)
     }
 
     /// Run the labelling closure with a thread budget: the raster sweeps
     /// run as a tiled wavefront over contiguous row bands (see
-    /// `crate::par` and DESIGN.md §11), **bit-for-bit equal** to
-    /// [`Labelling2::compute`] for every thread count. Falls back to the
-    /// sequential sweeps when the budget resolves to one thread, the mesh
-    /// is small, or there are not at least two row bands.
+    /// `crate::par` and DESIGN.md §11), **bit-for-bit equal** for every
+    /// thread count. Runs a single band when the budget resolves to one
+    /// thread, the mesh is small, or there are not at least two row bands.
     pub fn compute_par(
         mesh: &Mesh2D,
         frame: Frame2,
@@ -91,34 +71,11 @@ impl Labelling2 {
         parallelism: Parallelism,
     ) -> Labelling2 {
         let space = mesh.space();
-        let threads = parallelism.resolve();
-        let h = space.height() as usize;
-        let bands = par::bands(h, threads * TILES_PER_THREAD);
-        if threads <= 1 || space.len() < PAR_MIN_NODES || bands.len() < 2 {
-            return Labelling2::compute(mesh, frame, policy);
-        }
-
-        let mut status = NodeGrid::new(space.len(), NodeStatus::SAFE);
-        for &f in mesh.faults() {
-            status[space.index(frame.to_canon(f))] = NodeStatus::FAULT;
-        }
-        let border_blocks = matches!(policy, BorderPolicy::BorderBlocked);
-        let w = space.width() as usize;
-        let wraps = space.wraps();
-        let s = status.as_mut_slice();
-
-        wavefront(s, w, &bands, threads, wraps, SweepDir::Decreasing, {
-            |band: &mut [NodeStatus], halo: Option<&[NodeStatus]>| {
-                sweep_useless_band(band, w, wraps, border_blocks, halo)
-            }
-        });
-        wavefront(s, w, &bands, threads, wraps, SweepDir::Increasing, {
-            |band: &mut [NodeStatus], halo: Option<&[NodeStatus]>| {
-                sweep_cant_reach_band(band, w, wraps, border_blocks, halo)
-            }
-        });
-
-        let unsafe_set = unsafe_set_par(status.as_slice(), threads);
+        let faults = mesh
+            .faults()
+            .iter()
+            .map(|&f| space.index(frame.to_canon(f)));
+        let (status, unsafe_set) = closure::label(space, policy, faults, parallelism);
         Labelling2 {
             frame,
             policy,
@@ -258,496 +215,28 @@ impl Labelling2 {
         healed: &[C2],
         parallelism: Parallelism,
     ) -> Vec<usize> {
-        let space = self.space;
-        let frame = self.frame;
-        let inj: Vec<usize> = injected
-            .iter()
-            .map(|&c| space.index(frame.to_canon(c)))
-            .collect();
-        let heal: Vec<usize> = healed
-            .iter()
-            .map(|&c| space.index(frame.to_canon(c)))
-            .collect();
-        if inj.is_empty() && heal.is_empty() {
-            return Vec::new();
-        }
-        let mut changed = if (inj.len() + heal.len()) * BULK_REPAIR_FANOUT >= space.len() {
-            self.repair_bulk(&inj, &heal, parallelism)
-        } else {
-            self.repair_worklist(&inj, &heal)
-        };
-        changed.sort_unstable();
-        for &i in &changed {
-            if self.status[i].is_unsafe() {
-                self.unsafe_set.insert(i);
-            } else {
-                self.unsafe_set.remove(i);
-            }
-        }
-        changed
+        let (space, frame) = (self.space, self.frame);
+        let index = |c: &C2| space.index(frame.to_canon(*c));
+        let inj: Vec<usize> = injected.iter().map(index).collect();
+        let heal: Vec<usize> = healed.iter().map(index).collect();
+        closure::repair(
+            space,
+            self.policy,
+            &mut self.status,
+            &mut self.unsafe_set,
+            &inj,
+            &heal,
+            parallelism,
+        )
     }
-
-    /// Node-granular repair tier. Returns the changed indices, unsorted.
-    fn repair_worklist(&mut self, inj: &[usize], heal: &[usize]) -> Vec<usize> {
-        let w = self.space.width() as usize;
-        let h = self.space.height() as usize;
-        let wraps = self.space.wraps();
-        let border_blocks = matches!(self.policy, BorderPolicy::BorderBlocked);
-        let s = self.status.as_mut_slice();
-
-        #[cfg(test)]
-        let skip_retraction = mutation::SKIP_HEAL_RETRACTION.with(|c| c.get());
-        #[cfg(not(test))]
-        let skip_retraction = false;
-
-        // `(index, status at first touch)`: every mutation below pushes the
-        // node's pre-mutation status first, so after a stable sort the first
-        // entry per index holds the true pre-churn status and the rest are
-        // intermediate states the dedup drops.
-        let mut touched: Vec<(usize, NodeStatus)> = Vec::new();
-        for &i in heal {
-            debug_assert!(s[i].is_faulty(), "healed node was not faulty");
-            touched.push((i, s[i]));
-            s[i] = NodeStatus::SAFE;
-        }
-        for &i in inj {
-            debug_assert!(!s[i].is_faulty(), "injected node was already faulty");
-            touched.push((i, s[i]));
-            s[i] = NodeStatus::FAULT;
-        }
-
-        // Readers of node `i` per closure: the nodes whose rule input
-        // includes `i` — the wrapped `-X`/`-Y` neighbors for useless
-        // (rule 2 reads `+X`/`+Y`), the wrapped `+X`/`+Y` neighbors for
-        // can't-reach. Mirrors the sweep formulas exactly.
-        let readers_useless = |i: usize, f: &mut dyn FnMut(usize)| {
-            let (x, y) = (i % w, i / w);
-            if x > 0 {
-                f(i - 1);
-            } else if wraps {
-                f(i + w - 1);
-            }
-            if y > 0 {
-                f(i - w);
-            } else if wraps {
-                f(x + w * (h - 1));
-            }
-        };
-        let readers_cant_reach = |i: usize, f: &mut dyn FnMut(usize)| {
-            let (x, y) = (i % w, i / w);
-            if x + 1 < w {
-                f(i + 1);
-            } else if wraps {
-                f(i - x);
-            }
-            if y + 1 < h {
-                f(i + w);
-            } else if wraps {
-                f(x);
-            }
-        };
-        let useless_fires = |s: &[NodeStatus], i: usize| {
-            let (x, y) = (i % w, i / w);
-            let row = i - x;
-            let xp = if x + 1 < w {
-                s[i + 1].blocks_forward()
-            } else if wraps {
-                s[row].blocks_forward()
-            } else {
-                border_blocks
-            };
-            let yp = if y + 1 < h {
-                s[i + w].blocks_forward()
-            } else if wraps {
-                s[x].blocks_forward()
-            } else {
-                border_blocks
-            };
-            xp && yp
-        };
-        let cant_reach_fires = |s: &[NodeStatus], i: usize| {
-            let (x, y) = (i % w, i / w);
-            let row = i - x;
-            let xm = if x > 0 {
-                s[i - 1].blocks_backward()
-            } else if wraps {
-                s[row + w - 1].blocks_backward()
-            } else {
-                border_blocks
-            };
-            let ym = if y > 0 {
-                s[i - w].blocks_backward()
-            } else if wraps {
-                s[x + w * (h - 1)].blocks_backward()
-            } else {
-                border_blocks
-            };
-            xm && ym
-        };
-
-        // Useless closure: retract the reader cone of every healed node
-        // (clearing doubles as the visited mark), then re-propagate from
-        // the cleared nodes, the healed nodes themselves, and the readers
-        // of injected nodes. Injection is monotone (a faulty node still
-        // blocks both closures), so it never needs retraction.
-        let mut stack: Vec<usize> = Vec::new();
-        let mut work: Vec<usize> = Vec::new();
-        if !skip_retraction {
-            for &i in heal {
-                readers_useless(i, &mut |j| {
-                    if s[j].is_useless() {
-                        stack.push(j);
-                    }
-                });
-            }
-            while let Some(i) = stack.pop() {
-                if !s[i].is_useless() {
-                    continue;
-                }
-                touched.push((i, s[i]));
-                s[i].clear_useless();
-                work.push(i);
-                readers_useless(i, &mut |j| {
-                    if s[j].is_useless() {
-                        stack.push(j);
-                    }
-                });
-            }
-        }
-        work.extend_from_slice(heal);
-        for &i in inj {
-            readers_useless(i, &mut |j| work.push(j));
-        }
-        while let Some(i) = work.pop() {
-            if s[i].blocks_forward() {
-                continue;
-            }
-            if useless_fires(s, i) {
-                touched.push((i, s[i]));
-                s[i].mark_useless();
-                readers_useless(i, &mut |j| work.push(j));
-            }
-        }
-
-        // Can't-reach closure: the independent mirror image.
-        debug_assert!(stack.is_empty() && work.is_empty());
-        for &i in heal {
-            readers_cant_reach(i, &mut |j| {
-                if s[j].is_cant_reach() {
-                    stack.push(j);
-                }
-            });
-        }
-        while let Some(i) = stack.pop() {
-            if !s[i].is_cant_reach() {
-                continue;
-            }
-            touched.push((i, s[i]));
-            s[i].clear_cant_reach();
-            work.push(i);
-            readers_cant_reach(i, &mut |j| {
-                if s[j].is_cant_reach() {
-                    stack.push(j);
-                }
-            });
-        }
-        work.extend_from_slice(heal);
-        for &i in inj {
-            readers_cant_reach(i, &mut |j| work.push(j));
-        }
-        while let Some(i) = work.pop() {
-            if s[i].blocks_backward() {
-                continue;
-            }
-            if cant_reach_fires(s, i) {
-                touched.push((i, s[i]));
-                s[i].mark_cant_reach();
-                readers_cant_reach(i, &mut |j| work.push(j));
-            }
-        }
-
-        touched.sort_by_key(|&(i, _)| i);
-        touched.dedup_by_key(|&mut (i, _)| i);
-        touched
-            .into_iter()
-            .filter(|&(i, old)| s[i] != old)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Bulk repair tier: reset every label bit and rerun the closures over
-    /// the whole grid — sequentially, or via the same tiled wavefront as
-    /// [`Labelling2::compute_par`] when the budget and mesh warrant it.
-    /// The changed list comes from diffing a pre-churn snapshot.
-    fn repair_bulk(
-        &mut self,
-        inj: &[usize],
-        heal: &[usize],
-        parallelism: Parallelism,
-    ) -> Vec<usize> {
-        let w = self.space.width() as usize;
-        let h = self.space.height() as usize;
-        let wraps = self.space.wraps();
-        let border_blocks = matches!(self.policy, BorderPolicy::BorderBlocked);
-        let snapshot = self.status.as_slice().to_vec();
-        let s = self.status.as_mut_slice();
-        for &i in heal {
-            debug_assert!(s[i].is_faulty(), "healed node was not faulty");
-            s[i] = NodeStatus::SAFE;
-        }
-        for &i in inj {
-            debug_assert!(!s[i].is_faulty(), "injected node was already faulty");
-            s[i] = NodeStatus::FAULT;
-        }
-        for st in s.iter_mut() {
-            *st = if st.is_faulty() {
-                NodeStatus::FAULT
-            } else {
-                NodeStatus::SAFE
-            };
-        }
-        let threads = parallelism.resolve();
-        let bands = par::bands(h, threads * TILES_PER_THREAD);
-        if threads <= 1 || s.len() < PAR_MIN_NODES || bands.len() < 2 {
-            useless_fixpoint(s, w, h, wraps, border_blocks);
-            cant_reach_fixpoint(s, w, h, wraps, border_blocks);
-        } else {
-            wavefront(s, w, &bands, threads, wraps, SweepDir::Decreasing, {
-                |band: &mut [NodeStatus], halo: Option<&[NodeStatus]>| {
-                    sweep_useless_band(band, w, wraps, border_blocks, halo)
-                }
-            });
-            wavefront(s, w, &bands, threads, wraps, SweepDir::Increasing, {
-                |band: &mut [NodeStatus], halo: Option<&[NodeStatus]>| {
-                    sweep_cant_reach_band(band, w, wraps, border_blocks, halo)
-                }
-            });
-        }
-        snapshot
-            .iter()
-            .enumerate()
-            .filter(|&(i, &old)| s[i] != old)
-            .map(|(i, _)| i)
-            .collect()
-    }
-}
-
-/// Perturbation-size fanout above which [`Labelling2::repair`] (and its
-/// 3-D twin) abandons the node-granular worklist for a full relabel:
-/// batches of `≥ nodes / BULK_REPAIR_FANOUT` flips re-sweep the grid. A
-/// pure function of batch and mesh size — never thread count — so the
-/// repair path taken is identical under every parallelism budget.
-pub const BULK_REPAIR_FANOUT: usize = 48;
-
-/// Test-only fault injection for the mutation-style negative tests: prove
-/// the churn equivalence gates actually bite by disabling one invalidation
-/// path and watching them fail (see `crate::incremental` unit tests).
-#[cfg(test)]
-pub(crate) mod mutation {
-    use std::cell::Cell;
-    thread_local! {
-        /// When set on the calling thread, [`super::Labelling2::repair`]
-        /// skips the heal-retraction flood of the useless closure — exactly
-        /// the silent-staleness bug the equivalence battery must catch.
-        pub static SKIP_HEAL_RETRACTION: Cell<bool> = const { Cell::new(false) };
-    }
-}
-
-/// The useless closure over the whole grid, sequential. On a mesh
-/// (`wraps == false`) rule 2 depends only on the `+X`/`+Y` neighbors,
-/// which a decreasing-`(y, x)` sweep has already finalized, so the loop
-/// runs exactly one pass. On a torus the rules read the wrapped
-/// neighbors, whose ring cycles defeat the single-pass argument: the
-/// sweep iterates until quiescent (extra passes only when a label chain
-/// crosses the wrap seam), and the border policy is irrelevant (a torus
-/// has no border, so `border_blocks` is never read).
-fn useless_fixpoint(s: &mut [NodeStatus], w: usize, h: usize, wraps: bool, border_blocks: bool) {
-    loop {
-        let mut changed = false;
-        for y in (0..h).rev() {
-            let row = y * w;
-            for x in (0..w).rev() {
-                let i = row + x;
-                if s[i].blocks_forward() {
-                    continue;
-                }
-                let xp = if x + 1 < w {
-                    s[i + 1].blocks_forward()
-                } else if wraps {
-                    s[row].blocks_forward()
-                } else {
-                    border_blocks
-                };
-                let yp = if y + 1 < h {
-                    s[i + w].blocks_forward()
-                } else if wraps {
-                    s[x].blocks_forward()
-                } else {
-                    border_blocks
-                };
-                if xp && yp {
-                    s[i].mark_useless();
-                    changed = true;
-                }
-            }
-        }
-        if !(wraps && changed) {
-            break;
-        }
-    }
-}
-
-/// The can't-reach mirror of [`useless_fixpoint`]: `-X`/`-Y`
-/// dependencies, increasing-`(y, x)` sweep.
-fn cant_reach_fixpoint(s: &mut [NodeStatus], w: usize, h: usize, wraps: bool, border_blocks: bool) {
-    loop {
-        let mut changed = false;
-        for y in 0..h {
-            let row = y * w;
-            for x in 0..w {
-                let i = row + x;
-                if s[i].blocks_backward() {
-                    continue;
-                }
-                let xm = if x > 0 {
-                    s[i - 1].blocks_backward()
-                } else if wraps {
-                    s[row + w - 1].blocks_backward()
-                } else {
-                    border_blocks
-                };
-                let ym = if y > 0 {
-                    s[i - w].blocks_backward()
-                } else if wraps {
-                    s[x + w * (h - 1)].blocks_backward()
-                } else {
-                    border_blocks
-                };
-                if xm && ym {
-                    s[i].mark_cant_reach();
-                    changed = true;
-                }
-            }
-        }
-        if !(wraps && changed) {
-            break;
-        }
-    }
-}
-
-/// One tile's useless sweep to the tile-local fixpoint. `halo` is the
-/// frozen copy of the row the tile's top row reads through `+Y` (`None`
-/// only on the mesh border, where the border policy applies). Mirrors the
-/// sequential sweep exactly: one decreasing-`(y, x)` pass suffices on a
-/// mesh (all `+X`/`+Y` dependencies inside the tile are already final),
-/// while the torus in-row `x`-ring needs the loop-until-quiescent.
-/// Returns whether the tile's first row (the row the tile below reads)
-/// gained a label.
-fn sweep_useless_band(
-    band: &mut [NodeStatus],
-    w: usize,
-    wraps: bool,
-    border_blocks: bool,
-    halo: Option<&[NodeStatus]>,
-) -> bool {
-    let rows = band.len() / w;
-    let mut boundary_changed = false;
-    loop {
-        let mut changed = false;
-        for y in (0..rows).rev() {
-            let row = y * w;
-            for x in (0..w).rev() {
-                let i = row + x;
-                if band[i].blocks_forward() {
-                    continue;
-                }
-                let xp = if x + 1 < w {
-                    band[i + 1].blocks_forward()
-                } else if wraps {
-                    band[row].blocks_forward()
-                } else {
-                    border_blocks
-                };
-                let yp = if y + 1 < rows {
-                    band[i + w].blocks_forward()
-                } else {
-                    match halo {
-                        Some(h) => h[x].blocks_forward(),
-                        None => border_blocks,
-                    }
-                };
-                if xp && yp {
-                    band[i].mark_useless();
-                    changed = true;
-                    if y == 0 {
-                        boundary_changed = true;
-                    }
-                }
-            }
-        }
-        if !(wraps && changed) {
-            break;
-        }
-    }
-    boundary_changed
-}
-
-/// The can't-reach mirror of [`sweep_useless_band`]: increasing order,
-/// `-X`/`-Y` reads, `halo` is the row below the tile's first row. Returns
-/// whether the tile's last row (read by the tile above) gained a label.
-fn sweep_cant_reach_band(
-    band: &mut [NodeStatus],
-    w: usize,
-    wraps: bool,
-    border_blocks: bool,
-    halo: Option<&[NodeStatus]>,
-) -> bool {
-    let rows = band.len() / w;
-    let mut boundary_changed = false;
-    loop {
-        let mut changed = false;
-        for y in 0..rows {
-            let row = y * w;
-            for x in 0..w {
-                let i = row + x;
-                if band[i].blocks_backward() {
-                    continue;
-                }
-                let xm = if x > 0 {
-                    band[i - 1].blocks_backward()
-                } else if wraps {
-                    band[row + w - 1].blocks_backward()
-                } else {
-                    border_blocks
-                };
-                let ym = if y > 0 {
-                    band[i - w].blocks_backward()
-                } else {
-                    match halo {
-                        Some(h) => h[x].blocks_backward(),
-                        None => border_blocks,
-                    }
-                };
-                if xm && ym {
-                    band[i].mark_cant_reach();
-                    changed = true;
-                    if y == rows - 1 {
-                        boundary_changed = true;
-                    }
-                }
-            }
-        }
-        if !(wraps && changed) {
-            break;
-        }
-    }
-    boundary_changed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mesh_topo::coord::c2;
+    use crate::Labelling3;
+    use mesh_topo::coord::{c2, c3};
+    use mesh_topo::{Frame3, Mesh3D, C3};
 
     fn lab(mesh: &Mesh2D) -> Labelling2 {
         Labelling2::compute(mesh, Frame2::identity(mesh), BorderPolicy::BorderSafe)
@@ -959,6 +448,18 @@ mod tests {
         lab.repair(injected, healed, Parallelism::SEQ)
     }
 
+    fn lab3(mesh: &Mesh3D) -> Labelling3 {
+        Labelling3::compute(mesh, Frame3::identity(mesh), BorderPolicy::BorderSafe)
+    }
+
+    fn assert_matches_recompute3(mesh: &Mesh3D, lab: &Labelling3) {
+        let fresh = Labelling3::compute(mesh, lab.frame(), lab.policy());
+        for ((c, a), (_, b)) in lab.iter().zip(fresh.iter()) {
+            assert_eq!(a, b, "status diverged at {c}");
+        }
+        assert_eq!(lab.unsafe_set(), fresh.unsafe_set());
+    }
+
     fn assert_matches_recompute(mesh: &Mesh2D, lab: &Labelling2) {
         let fresh = Labelling2::compute(mesh, lab.frame(), lab.policy());
         for ((c, a), (_, b)) in lab.iter().zip(fresh.iter()) {
@@ -998,6 +499,37 @@ mod tests {
         let before: Vec<NodeStatus> = l.iter().map(|(_, s)| s).collect();
         let changed = churn_once(&mut mesh, &mut l, &[c2(2, 2)], &[c2(6, 5)]);
         assert_matches_recompute(&mesh, &l);
+        let diff: Vec<usize> = l
+            .iter()
+            .enumerate()
+            .filter(|&(i, (_, s))| s != before[i])
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(changed, diff);
+        assert!(changed.windows(2).all(|p| p[0] < p[1]), "sorted ascending");
+
+        // The 3-D input: the same worklist over three axes. Healing one
+        // wall of a sealed useless pocket retracts the pocket; the new
+        // fault seals a can't-reach one elsewhere.
+        let mut mesh = Mesh3D::kary(8);
+        for c in [
+            c3(5, 4, 4),
+            c3(4, 5, 4),
+            c3(4, 4, 5),
+            c3(1, 2, 2),
+            c3(2, 1, 2),
+        ] {
+            mesh.inject_fault(c);
+        }
+        let mut l = lab3(&mesh);
+        assert!(l.status(c3(4, 4, 4)).is_useless());
+        let before: Vec<NodeStatus> = l.iter().map(|(_, s)| s).collect();
+        assert!(mesh.inject_fault(c3(2, 2, 1)));
+        assert!(mesh.heal_fault(c3(5, 4, 4)));
+        let changed = l.repair(&[c3(2, 2, 1)], &[c3(5, 4, 4)], Parallelism::SEQ);
+        assert!(l.status(c3(4, 4, 4)).is_safe());
+        assert!(l.status(c3(2, 2, 2)).is_cant_reach());
+        assert_matches_recompute3(&mesh, &l);
         let diff: Vec<usize> = l
             .iter()
             .enumerate()
@@ -1077,6 +609,40 @@ mod tests {
             let changed = l.repair(&injected, &healed, Parallelism::new(4));
             assert_matches_recompute(&mesh, &l);
             assert!(changed.windows(2).all(|p| p[0] < p[1]));
+        }
+        // The 3-D input: a 4-ary cube (64 nodes) with a fault plane at
+        // z = 1, a wall injected at x = 2 and two plane nodes healed.
+        for torus in [false, true] {
+            let mut mesh = if torus {
+                Mesh3D::torus_kary(4)
+            } else {
+                Mesh3D::kary(4)
+            };
+            for x in 0..4 {
+                for y in 0..4 {
+                    mesh.inject_fault(c3(x, y, 1));
+                }
+            }
+            let mut l = lab3(&mesh);
+            let before = l.clone();
+            let injected: Vec<C3> = (0..4)
+                .flat_map(|y| (0..4).map(move |z| c3(2, y, z)))
+                .filter(|&c| mesh.is_healthy(c))
+                .collect();
+            let healed = vec![c3(0, 0, 1), c3(1, 3, 1)];
+            assert!((injected.len() + healed.len()) * BULK_REPAIR_FANOUT >= 64);
+            for &c in &injected {
+                mesh.inject_fault(c);
+            }
+            for &c in &healed {
+                mesh.heal_fault(c);
+            }
+            let changed = l.repair(&injected, &healed, Parallelism::new(4));
+            assert_matches_recompute3(&mesh, &l);
+            let diff: Vec<usize> = (0..64)
+                .filter(|&i| l.status(l.space().coord(i)) != before.status(l.space().coord(i)))
+                .collect();
+            assert_eq!(changed, diff);
         }
     }
 

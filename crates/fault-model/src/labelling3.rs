@@ -11,11 +11,14 @@
 //! depends only on strictly-larger `(z, y, x)`, so a single decreasing
 //! sweep reaches the fixpoint, and the can't-reach rule is the increasing
 //! mirror image. On a torus the sweeps read the wrapped neighbors and
-//! iterate to the fixpoint (see [`crate::labelling2`]).
+//! iterate to the fixpoint (see [`crate::labelling2`]). The sweeps, the
+//! churn repair and the unsafe-set build are the closure core shared with
+//! [`crate::labelling2`], monomorphized for three axes; the tiled wavefront
+//! bands z-planes.
 
-use mesh_topo::{par, Frame3, Mesh3D, NodeGrid, NodeSet, NodeSpace3, Parallelism, C3};
+use mesh_topo::{Frame3, Mesh3D, NodeGrid, NodeSet, NodeSpace3, Parallelism, C3};
 
-use crate::par::{unsafe_set_par, wavefront, SweepDir, PAR_MIN_NODES, TILES_PER_THREAD};
+use crate::closure;
 use crate::status::{BorderPolicy, NodeStatus};
 
 /// The fixpoint of Algorithm 4 for one octant orientation of a 3-D mesh.
@@ -31,47 +34,20 @@ pub struct Labelling3 {
 }
 
 impl Labelling3 {
-    /// Run the labelling closure for `mesh` under `frame`.
+    /// Run the labelling closure for `mesh` under `frame`: the one-band
+    /// case of [`Labelling3::compute_par`].
     pub fn compute(mesh: &Mesh3D, frame: Frame3, policy: BorderPolicy) -> Labelling3 {
-        let space = mesh.space();
-        let mut status = NodeGrid::new(space.len(), NodeStatus::SAFE);
-        for &f in mesh.faults() {
-            status[space.index(frame.to_canon(f))] = NodeStatus::FAULT;
-        }
-
-        let border_blocks = matches!(policy, BorderPolicy::BorderBlocked);
-        let nx = space.nx() as usize;
-        let ny = space.ny() as usize;
-        let nz = space.nz() as usize;
-        let wraps = space.wraps();
-        let s = status.as_mut_slice();
-
-        useless_fixpoint3(s, nx, ny, nz, wraps, border_blocks);
-        cant_reach_fixpoint3(s, nx, ny, nz, wraps, border_blocks);
-
-        let mut unsafe_set = NodeSet::new(space.len());
-        for (i, st) in status.iter() {
-            if st.is_unsafe() {
-                unsafe_set.insert(i);
-            }
-        }
-        Labelling3 {
-            frame,
-            policy,
-            space,
-            status,
-            unsafe_set,
-        }
+        Labelling3::compute_par(mesh, frame, policy, Parallelism::SEQ)
     }
 
     /// Run the labelling closure with a thread budget: the raster sweeps
     /// run as a tiled wavefront over contiguous **z-plane** bands (see
-    /// `crate::par` and DESIGN.md §11), **bit-for-bit equal** to
-    /// [`Labelling3::compute`] for every thread count. The `±X` and `±Y`
-    /// dependencies (including their torus wraps) stay inside a band's
-    /// planes; only `±Z` crosses bands, through the one frozen halo plane.
-    /// Falls back to the sequential sweeps when the budget resolves to one
-    /// thread, the mesh is small, or there are not at least two bands.
+    /// `crate::par` and DESIGN.md §11), **bit-for-bit equal** for every
+    /// thread count. The `±X` and `±Y` dependencies (including their torus
+    /// wraps) stay inside a band's planes; only `±Z` crosses bands, through
+    /// the one frozen halo plane. Runs a single band when the budget
+    /// resolves to one thread, the mesh is small, or there are not at
+    /// least two bands.
     pub fn compute_par(
         mesh: &Mesh3D,
         frame: Frame3,
@@ -79,36 +55,11 @@ impl Labelling3 {
         parallelism: Parallelism,
     ) -> Labelling3 {
         let space = mesh.space();
-        let threads = parallelism.resolve();
-        let nz = space.nz() as usize;
-        let bands = par::bands(nz, threads * TILES_PER_THREAD);
-        if threads <= 1 || space.len() < PAR_MIN_NODES || bands.len() < 2 {
-            return Labelling3::compute(mesh, frame, policy);
-        }
-
-        let mut status = NodeGrid::new(space.len(), NodeStatus::SAFE);
-        for &f in mesh.faults() {
-            status[space.index(frame.to_canon(f))] = NodeStatus::FAULT;
-        }
-        let border_blocks = matches!(policy, BorderPolicy::BorderBlocked);
-        let nx = space.nx() as usize;
-        let ny = space.ny() as usize;
-        let plane = nx * ny;
-        let wraps = space.wraps();
-        let s = status.as_mut_slice();
-
-        wavefront(s, plane, &bands, threads, wraps, SweepDir::Decreasing, {
-            |band: &mut [NodeStatus], halo: Option<&[NodeStatus]>| {
-                sweep_useless_band3(band, nx, ny, wraps, border_blocks, halo)
-            }
-        });
-        wavefront(s, plane, &bands, threads, wraps, SweepDir::Increasing, {
-            |band: &mut [NodeStatus], halo: Option<&[NodeStatus]>| {
-                sweep_cant_reach_band3(band, nx, ny, wraps, border_blocks, halo)
-            }
-        });
-
-        let unsafe_set = unsafe_set_par(status.as_slice(), threads);
+        let faults = mesh
+            .faults()
+            .iter()
+            .map(|&f| space.index(frame.to_canon(f)));
+        let (status, unsafe_set) = closure::label(space, policy, faults, parallelism);
         Labelling3 {
             frame,
             policy,
@@ -239,542 +190,20 @@ impl Labelling3 {
         healed: &[C3],
         parallelism: Parallelism,
     ) -> Vec<usize> {
-        let space = self.space;
-        let frame = self.frame;
-        let inj: Vec<usize> = injected
-            .iter()
-            .map(|&c| space.index(frame.to_canon(c)))
-            .collect();
-        let heal: Vec<usize> = healed
-            .iter()
-            .map(|&c| space.index(frame.to_canon(c)))
-            .collect();
-        if inj.is_empty() && heal.is_empty() {
-            return Vec::new();
-        }
-        let bulk = (inj.len() + heal.len()) * crate::labelling2::BULK_REPAIR_FANOUT >= space.len();
-        let mut changed = if bulk {
-            self.repair_bulk(&inj, &heal, parallelism)
-        } else {
-            self.repair_worklist(&inj, &heal)
-        };
-        changed.sort_unstable();
-        for &i in &changed {
-            if self.status[i].is_unsafe() {
-                self.unsafe_set.insert(i);
-            } else {
-                self.unsafe_set.remove(i);
-            }
-        }
-        changed
+        let (space, frame) = (self.space, self.frame);
+        let index = |c: &C3| space.index(frame.to_canon(*c));
+        let inj: Vec<usize> = injected.iter().map(index).collect();
+        let heal: Vec<usize> = healed.iter().map(index).collect();
+        closure::repair(
+            space,
+            self.policy,
+            &mut self.status,
+            &mut self.unsafe_set,
+            &inj,
+            &heal,
+            parallelism,
+        )
     }
-
-    /// Node-granular repair tier. Returns the changed indices, unsorted.
-    fn repair_worklist(&mut self, inj: &[usize], heal: &[usize]) -> Vec<usize> {
-        let nx = self.space.nx() as usize;
-        let ny = self.space.ny() as usize;
-        let nz = self.space.nz() as usize;
-        let plane = nx * ny;
-        let wraps = self.space.wraps();
-        let border_blocks = matches!(self.policy, BorderPolicy::BorderBlocked);
-        let s = self.status.as_mut_slice();
-
-        // `(index, status at first touch)` — see the 2-D twin for the
-        // dedup argument.
-        let mut touched: Vec<(usize, NodeStatus)> = Vec::new();
-        for &i in heal {
-            debug_assert!(s[i].is_faulty(), "healed node was not faulty");
-            touched.push((i, s[i]));
-            s[i] = NodeStatus::SAFE;
-        }
-        for &i in inj {
-            debug_assert!(!s[i].is_faulty(), "injected node was already faulty");
-            touched.push((i, s[i]));
-            s[i] = NodeStatus::FAULT;
-        }
-
-        // Readers per closure: the wrapped -X/-Y/-Z neighbors for useless
-        // (the rule reads +X/+Y/+Z), the positive mirror for can't-reach.
-        let readers_useless = |i: usize, f: &mut dyn FnMut(usize)| {
-            let x = i % nx;
-            let y = (i / nx) % ny;
-            let z = i / plane;
-            if x > 0 {
-                f(i - 1);
-            } else if wraps {
-                f(i + nx - 1);
-            }
-            if y > 0 {
-                f(i - nx);
-            } else if wraps {
-                f(z * plane + (ny - 1) * nx + x);
-            }
-            if z > 0 {
-                f(i - plane);
-            } else if wraps {
-                f((nz - 1) * plane + y * nx + x);
-            }
-        };
-        let readers_cant_reach = |i: usize, f: &mut dyn FnMut(usize)| {
-            let x = i % nx;
-            let y = (i / nx) % ny;
-            let z = i / plane;
-            if x + 1 < nx {
-                f(i + 1);
-            } else if wraps {
-                f(i - x);
-            }
-            if y + 1 < ny {
-                f(i + nx);
-            } else if wraps {
-                f(z * plane + x);
-            }
-            if z + 1 < nz {
-                f(i + plane);
-            } else if wraps {
-                f(y * nx + x);
-            }
-        };
-        let useless_fires = |s: &[NodeStatus], i: usize| {
-            let x = i % nx;
-            let y = (i / nx) % ny;
-            let z = i / plane;
-            let row = i - x;
-            let xp = if x + 1 < nx {
-                s[i + 1].blocks_forward()
-            } else if wraps {
-                s[row].blocks_forward()
-            } else {
-                border_blocks
-            };
-            let yp = if y + 1 < ny {
-                s[i + nx].blocks_forward()
-            } else if wraps {
-                s[z * plane + x].blocks_forward()
-            } else {
-                border_blocks
-            };
-            let zp = if z + 1 < nz {
-                s[i + plane].blocks_forward()
-            } else if wraps {
-                s[y * nx + x].blocks_forward()
-            } else {
-                border_blocks
-            };
-            xp && yp && zp
-        };
-        let cant_reach_fires = |s: &[NodeStatus], i: usize| {
-            let x = i % nx;
-            let y = (i / nx) % ny;
-            let z = i / plane;
-            let row = i - x;
-            let xm = if x > 0 {
-                s[i - 1].blocks_backward()
-            } else if wraps {
-                s[row + nx - 1].blocks_backward()
-            } else {
-                border_blocks
-            };
-            let ym = if y > 0 {
-                s[i - nx].blocks_backward()
-            } else if wraps {
-                s[z * plane + (ny - 1) * nx + x].blocks_backward()
-            } else {
-                border_blocks
-            };
-            let zm = if z > 0 {
-                s[i - plane].blocks_backward()
-            } else if wraps {
-                s[(nz - 1) * plane + y * nx + x].blocks_backward()
-            } else {
-                border_blocks
-            };
-            xm && ym && zm
-        };
-
-        // Useless closure: retract the reader cone of the healed nodes,
-        // then re-propagate from the perturbed seeds (see the 2-D twin).
-        let mut stack: Vec<usize> = Vec::new();
-        let mut work: Vec<usize> = Vec::new();
-        for &i in heal {
-            readers_useless(i, &mut |j| {
-                if s[j].is_useless() {
-                    stack.push(j);
-                }
-            });
-        }
-        while let Some(i) = stack.pop() {
-            if !s[i].is_useless() {
-                continue;
-            }
-            touched.push((i, s[i]));
-            s[i].clear_useless();
-            work.push(i);
-            readers_useless(i, &mut |j| {
-                if s[j].is_useless() {
-                    stack.push(j);
-                }
-            });
-        }
-        work.extend_from_slice(heal);
-        for &i in inj {
-            readers_useless(i, &mut |j| work.push(j));
-        }
-        while let Some(i) = work.pop() {
-            if s[i].blocks_forward() {
-                continue;
-            }
-            if useless_fires(s, i) {
-                touched.push((i, s[i]));
-                s[i].mark_useless();
-                readers_useless(i, &mut |j| work.push(j));
-            }
-        }
-
-        // Can't-reach closure: the independent mirror image.
-        debug_assert!(stack.is_empty() && work.is_empty());
-        for &i in heal {
-            readers_cant_reach(i, &mut |j| {
-                if s[j].is_cant_reach() {
-                    stack.push(j);
-                }
-            });
-        }
-        while let Some(i) = stack.pop() {
-            if !s[i].is_cant_reach() {
-                continue;
-            }
-            touched.push((i, s[i]));
-            s[i].clear_cant_reach();
-            work.push(i);
-            readers_cant_reach(i, &mut |j| {
-                if s[j].is_cant_reach() {
-                    stack.push(j);
-                }
-            });
-        }
-        work.extend_from_slice(heal);
-        for &i in inj {
-            readers_cant_reach(i, &mut |j| work.push(j));
-        }
-        while let Some(i) = work.pop() {
-            if s[i].blocks_backward() {
-                continue;
-            }
-            if cant_reach_fires(s, i) {
-                touched.push((i, s[i]));
-                s[i].mark_cant_reach();
-                readers_cant_reach(i, &mut |j| work.push(j));
-            }
-        }
-
-        touched.sort_by_key(|&(i, _)| i);
-        touched.dedup_by_key(|&mut (i, _)| i);
-        touched
-            .into_iter()
-            .filter(|&(i, old)| s[i] != old)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Bulk repair tier: reset every label bit and rerun the closures over
-    /// the whole grid, sequentially or via the tiled wavefront.
-    fn repair_bulk(
-        &mut self,
-        inj: &[usize],
-        heal: &[usize],
-        parallelism: Parallelism,
-    ) -> Vec<usize> {
-        let nx = self.space.nx() as usize;
-        let ny = self.space.ny() as usize;
-        let nz = self.space.nz() as usize;
-        let plane = nx * ny;
-        let wraps = self.space.wraps();
-        let border_blocks = matches!(self.policy, BorderPolicy::BorderBlocked);
-        let snapshot = self.status.as_slice().to_vec();
-        let s = self.status.as_mut_slice();
-        for &i in heal {
-            debug_assert!(s[i].is_faulty(), "healed node was not faulty");
-            s[i] = NodeStatus::SAFE;
-        }
-        for &i in inj {
-            debug_assert!(!s[i].is_faulty(), "injected node was already faulty");
-            s[i] = NodeStatus::FAULT;
-        }
-        for st in s.iter_mut() {
-            *st = if st.is_faulty() {
-                NodeStatus::FAULT
-            } else {
-                NodeStatus::SAFE
-            };
-        }
-        let threads = parallelism.resolve();
-        let bands = par::bands(nz, threads * TILES_PER_THREAD);
-        if threads <= 1 || s.len() < PAR_MIN_NODES || bands.len() < 2 {
-            useless_fixpoint3(s, nx, ny, nz, wraps, border_blocks);
-            cant_reach_fixpoint3(s, nx, ny, nz, wraps, border_blocks);
-        } else {
-            wavefront(s, plane, &bands, threads, wraps, SweepDir::Decreasing, {
-                |band: &mut [NodeStatus], halo: Option<&[NodeStatus]>| {
-                    sweep_useless_band3(band, nx, ny, wraps, border_blocks, halo)
-                }
-            });
-            wavefront(s, plane, &bands, threads, wraps, SweepDir::Increasing, {
-                |band: &mut [NodeStatus], halo: Option<&[NodeStatus]>| {
-                    sweep_cant_reach_band3(band, nx, ny, wraps, border_blocks, halo)
-                }
-            });
-        }
-        snapshot
-            .iter()
-            .enumerate()
-            .filter(|&(i, &old)| s[i] != old)
-            .map(|(i, _)| i)
-            .collect()
-    }
-}
-
-/// The useless closure over the whole 3-D grid, sequential. On a mesh the
-/// dependencies point to `+X`/`+Y`/`+Z` only, so one decreasing-
-/// `(z, y, x)` sweep reaches the fixpoint and the loop runs once. On a
-/// torus the rules read the wrapped neighbors; the ring cycles mean the
-/// sweep iterates until quiescent, and the border policy is irrelevant
-/// (no border exists, `border_blocks` is never read).
-fn useless_fixpoint3(
-    s: &mut [NodeStatus],
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    wraps: bool,
-    border_blocks: bool,
-) {
-    let plane = nx * ny;
-    loop {
-        let mut changed = false;
-        for z in (0..nz).rev() {
-            for y in (0..ny).rev() {
-                let row = z * plane + y * nx;
-                for x in (0..nx).rev() {
-                    let i = row + x;
-                    if s[i].blocks_forward() {
-                        continue;
-                    }
-                    let xp = if x + 1 < nx {
-                        s[i + 1].blocks_forward()
-                    } else if wraps {
-                        s[row].blocks_forward()
-                    } else {
-                        border_blocks
-                    };
-                    let yp = if y + 1 < ny {
-                        s[i + nx].blocks_forward()
-                    } else if wraps {
-                        s[z * plane + x].blocks_forward()
-                    } else {
-                        border_blocks
-                    };
-                    let zp = if z + 1 < nz {
-                        s[i + plane].blocks_forward()
-                    } else if wraps {
-                        s[y * nx + x].blocks_forward()
-                    } else {
-                        border_blocks
-                    };
-                    if xp && yp && zp {
-                        s[i].mark_useless();
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !(wraps && changed) {
-            break;
-        }
-    }
-}
-
-/// The can't-reach mirror of [`useless_fixpoint3`]: `-X`/`-Y`/`-Z`
-/// dependencies, increasing-`(z, y, x)` sweep.
-fn cant_reach_fixpoint3(
-    s: &mut [NodeStatus],
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    wraps: bool,
-    border_blocks: bool,
-) {
-    let plane = nx * ny;
-    loop {
-        let mut changed = false;
-        for z in 0..nz {
-            for y in 0..ny {
-                let row = z * plane + y * nx;
-                for x in 0..nx {
-                    let i = row + x;
-                    if s[i].blocks_backward() {
-                        continue;
-                    }
-                    let xm = if x > 0 {
-                        s[i - 1].blocks_backward()
-                    } else if wraps {
-                        s[row + nx - 1].blocks_backward()
-                    } else {
-                        border_blocks
-                    };
-                    let ym = if y > 0 {
-                        s[i - nx].blocks_backward()
-                    } else if wraps {
-                        s[z * plane + (ny - 1) * nx + x].blocks_backward()
-                    } else {
-                        border_blocks
-                    };
-                    let zm = if z > 0 {
-                        s[i - plane].blocks_backward()
-                    } else if wraps {
-                        s[(nz - 1) * plane + y * nx + x].blocks_backward()
-                    } else {
-                        border_blocks
-                    };
-                    if xm && ym && zm {
-                        s[i].mark_cant_reach();
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !(wraps && changed) {
-            break;
-        }
-    }
-}
-
-/// One z-plane band's useless sweep to the band-local fixpoint. `halo` is
-/// the frozen `+Z` plane above the band (`None` only on the mesh border).
-/// The `±X`/`±Y` reads — wrapped or not — never leave the band, so on a
-/// torus the loop-until-quiescent resolves the in-plane ring cycles
-/// locally. Returns whether the band's first plane (read by the band
-/// below through `+Z`) gained a label.
-fn sweep_useless_band3(
-    band: &mut [NodeStatus],
-    nx: usize,
-    ny: usize,
-    wraps: bool,
-    border_blocks: bool,
-    halo: Option<&[NodeStatus]>,
-) -> bool {
-    let plane = nx * ny;
-    let planes = band.len() / plane;
-    let mut boundary_changed = false;
-    loop {
-        let mut changed = false;
-        for z in (0..planes).rev() {
-            for y in (0..ny).rev() {
-                let row = z * plane + y * nx;
-                for x in (0..nx).rev() {
-                    let i = row + x;
-                    if band[i].blocks_forward() {
-                        continue;
-                    }
-                    let xp = if x + 1 < nx {
-                        band[i + 1].blocks_forward()
-                    } else if wraps {
-                        band[row].blocks_forward()
-                    } else {
-                        border_blocks
-                    };
-                    let yp = if y + 1 < ny {
-                        band[i + nx].blocks_forward()
-                    } else if wraps {
-                        band[z * plane + x].blocks_forward()
-                    } else {
-                        border_blocks
-                    };
-                    let zp = if z + 1 < planes {
-                        band[i + plane].blocks_forward()
-                    } else {
-                        match halo {
-                            Some(h) => h[y * nx + x].blocks_forward(),
-                            None => border_blocks,
-                        }
-                    };
-                    if xp && yp && zp {
-                        band[i].mark_useless();
-                        changed = true;
-                        if z == 0 {
-                            boundary_changed = true;
-                        }
-                    }
-                }
-            }
-        }
-        if !(wraps && changed) {
-            break;
-        }
-    }
-    boundary_changed
-}
-
-/// The can't-reach mirror of [`sweep_useless_band3`]: increasing order,
-/// `-X`/`-Y`/`-Z` reads, `halo` is the plane below the band's first
-/// plane. Returns whether the band's last plane gained a label.
-fn sweep_cant_reach_band3(
-    band: &mut [NodeStatus],
-    nx: usize,
-    ny: usize,
-    wraps: bool,
-    border_blocks: bool,
-    halo: Option<&[NodeStatus]>,
-) -> bool {
-    let plane = nx * ny;
-    let planes = band.len() / plane;
-    let mut boundary_changed = false;
-    loop {
-        let mut changed = false;
-        for z in 0..planes {
-            for y in 0..ny {
-                let row = z * plane + y * nx;
-                for x in 0..nx {
-                    let i = row + x;
-                    if band[i].blocks_backward() {
-                        continue;
-                    }
-                    let xm = if x > 0 {
-                        band[i - 1].blocks_backward()
-                    } else if wraps {
-                        band[row + nx - 1].blocks_backward()
-                    } else {
-                        border_blocks
-                    };
-                    let ym = if y > 0 {
-                        band[i - nx].blocks_backward()
-                    } else if wraps {
-                        band[z * plane + (ny - 1) * nx + x].blocks_backward()
-                    } else {
-                        border_blocks
-                    };
-                    let zm = if z > 0 {
-                        band[i - plane].blocks_backward()
-                    } else {
-                        match halo {
-                            Some(h) => h[y * nx + x].blocks_backward(),
-                            None => border_blocks,
-                        }
-                    };
-                    if xm && ym && zm {
-                        band[i].mark_cant_reach();
-                        changed = true;
-                        if z == planes - 1 {
-                            boundary_changed = true;
-                        }
-                    }
-                }
-            }
-        }
-        if !(wraps && changed) {
-            break;
-        }
-    }
-    boundary_changed
 }
 
 #[cfg(test)]
@@ -894,6 +323,65 @@ mod tests {
         let lm = lab(&mesh);
         assert!(lm.status(c3(4, 4, 4)).is_safe());
         assert_eq!(lm.sacrificed_count(), 0);
+    }
+
+    #[test]
+    fn torus_label_chain_crosses_the_z_seam() {
+        // On a 6-ary torus, (2,2,0) is useless behind three faults, and
+        // (2,2,5) and then (2,2,4) become useless only through their
+        // wrapped `+Z` neighbor across the z seam. The one-band sweep
+        // visits z = 5 before z = 0 and reads the seam through its frozen
+        // halo, so it must re-enqueue itself to see that label. The
+        // can't-reach chain (4,4,5) → (4,4,0) → (4,4,1) is the mirror
+        // image in the increasing sweep.
+        let mut torus = Mesh3D::torus_kary(6);
+        for c in [
+            c3(3, 2, 0),
+            c3(2, 3, 0),
+            c3(2, 2, 1),
+            c3(3, 2, 5),
+            c3(2, 3, 5),
+            c3(3, 2, 4),
+            c3(2, 3, 4),
+            c3(3, 4, 5),
+            c3(4, 3, 5),
+            c3(4, 4, 4),
+            c3(3, 4, 0),
+            c3(4, 3, 0),
+            c3(3, 4, 1),
+            c3(4, 3, 1),
+        ] {
+            torus.inject_fault(c);
+        }
+        let l = lab(&torus);
+        for c in [c3(2, 2, 0), c3(2, 2, 5), c3(2, 2, 4)] {
+            assert!(l.status(c).is_useless(), "{c} must be useless");
+        }
+        for c in [c3(4, 4, 5), c3(4, 4, 0), c3(4, 4, 1)] {
+            assert!(l.status(c).is_cant_reach(), "{c} must be can't-reach");
+        }
+        // And the fixpoint is closed: no rule fires anywhere.
+        let space = torus.space();
+        let blocked = |c: C3, d: mesh_topo::Dir3, fwd: bool| {
+            let st = l.status(space.wrap_coord(c.step(d)));
+            if fwd {
+                st.blocks_forward()
+            } else {
+                st.blocks_backward()
+            }
+        };
+        use mesh_topo::Dir3::{Xm, Xp, Ym, Yp, Zm, Zp};
+        for c in torus.nodes() {
+            let st = l.status(c);
+            assert!(
+                st.blocks_forward() || ![Xp, Yp, Zp].iter().all(|&d| blocked(c, d, true)),
+                "{c} missed useless"
+            );
+            assert!(
+                st.blocks_backward() || ![Xm, Ym, Zm].iter().all(|&d| blocked(c, d, false)),
+                "{c} missed can't-reach"
+            );
+        }
     }
 
     #[test]

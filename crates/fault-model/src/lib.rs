@@ -76,6 +76,7 @@
 #![warn(missing_docs)]
 
 mod block_closure;
+mod closure;
 pub mod components;
 pub mod condition2;
 pub mod condition3;

@@ -4,10 +4,13 @@
 //! *added*, and a rule that fires under an under-approximation of the
 //! final labels also fires at the fixpoint. Any chaotic iteration that
 //! (a) only marks justified labels and (b) terminates with no applicable
-//! rule therefore converges to the **unique least fixpoint** — the same
-//! one the sequential raster sweeps compute. That argument is what makes
-//! the tiled schedule here bit-for-bit equal to the sequential code (see
-//! DESIGN.md §11).
+//! rule therefore converges to the **unique least fixpoint**. That
+//! argument is what makes the schedule here bit-for-bit equal for every
+//! band count (see DESIGN.md §11). The closure core (`crate::closure`)
+//! drives every labelling, sequential ones included, through
+//! [`wavefront`]: the sequential closure is the one-band case, which runs
+//! on the calling thread and, on a torus, re-enqueues its own band while
+//! labels cross the wrap seam.
 //!
 //! The schedule is a bulk-synchronous wavefront over contiguous row
 //! (2-D) / plane (3-D) tiles:
@@ -131,35 +134,30 @@ pub(crate) fn wavefront(
                 next_dirty[d] = true;
             }
         };
-        if workers == 1 {
-            for (k, slice, halo) in buckets.pop().expect("one bucket") {
-                if sweep(slice, halo) {
-                    enqueue_dependent(k);
-                }
-            }
+        let run = |bucket: Vec<Tile<'_, '_>>| {
+            bucket
+                .into_iter()
+                .map(|(k, slice, halo)| (k, sweep(slice, halo)))
+                .collect::<Vec<(usize, bool)>>()
+        };
+        // One worker (every one-band closure) runs on the calling thread.
+        let results = if workers == 1 {
+            run(buckets.pop().expect("one bucket"))
         } else {
-            let results = std::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = buckets
                     .into_iter()
-                    .map(|bucket| {
-                        let sweep = &sweep;
-                        scope.spawn(move || {
-                            bucket
-                                .into_iter()
-                                .map(|(k, slice, halo)| (k, sweep(slice, halo)))
-                                .collect::<Vec<(usize, bool)>>()
-                        })
-                    })
+                    .map(|bucket| scope.spawn(|| run(bucket)))
                     .collect();
                 handles
                     .into_iter()
                     .flat_map(|h| h.join().expect("wavefront tile thread panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for (k, boundary_changed) in results {
-                if boundary_changed {
-                    enqueue_dependent(k);
-                }
+                    .collect()
+            })
+        };
+        for (k, boundary_changed) in results {
+            if boundary_changed {
+                enqueue_dependent(k);
             }
         }
         std::mem::swap(&mut dirty, &mut next_dirty);
@@ -169,8 +167,8 @@ pub(crate) fn wavefront(
 /// Build the unsafe-node bitset from a status array, word-chunk parallel:
 /// each worker fills a disjoint `&mut [u64]` chunk (word `w` covers
 /// indices `64·w..64·w+64`, never straddling chunks), and
-/// [`NodeSet::from_raw_words`] adopts the buffer. Identical to the
-/// sequential insert loop for every thread count.
+/// [`NodeSet::from_raw_words`] adopts the buffer. Identical for every
+/// thread count; one thread fills the words on the calling thread.
 pub(crate) fn unsafe_set_par(status: &[NodeStatus], threads: usize) -> NodeSet {
     let nbits = status.len();
     let nwords = nbits.div_ceil(64);
@@ -204,8 +202,8 @@ fn fill_words(words: &mut [u64], word_offset: usize, status: &[NodeStatus]) {
     }
 }
 
-/// Node-count floor below which `compute_par` falls back to the
-/// sequential sweeps: a sub-4096-node labelling finishes in microseconds,
+/// Node-count floor below which the closure runs a single band on the
+/// calling thread: a sub-4096-node labelling finishes in microseconds,
 /// under the cost of spawning the tile threads.
 pub(crate) const PAR_MIN_NODES: usize = 4096;
 

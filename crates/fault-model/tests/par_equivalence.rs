@@ -1,27 +1,67 @@
 //! Pinning battery: the tiled wavefront labelling (`compute_par`) is
-//! **bit-for-bit equal** to the sequential raster sweeps (`compute`) on
-//! random meshes and tori, under both border policies, for every thread
-//! count — statuses, unsafe bitsets and counts all identical. Mesh sizes
-//! sit at/above the `PAR_MIN_NODES` floor so the parallel path really
-//! runs (it falls back to the sequential sweeps below 4096 nodes).
+//! **bit-for-bit equal** across thread counts and to an independent
+//! implementation, on random meshes and tori, under both border policies —
+//! statuses, unsafe bitsets and counts all identical. `compute` is the
+//! one-band case of the same wavefront, so each multi-band result is also
+//! checked against a closure that shares no code with it: the hash-based
+//! worklist of `fault_model::reference` on meshes (any frame, either
+//! policy), the definitional wrapped-neighbor worklist of `tests/common`
+//! on tori. Mesh sizes sit at/above the `PAR_MIN_NODES` floor so the
+//! multi-band path really runs (below 4096 nodes it runs one band).
 
-use fault_model::{BorderPolicy, Labelling2, Labelling3};
+mod common;
+
+use common::{worklist_closure_2d, worklist_closure_3d};
+use fault_model::reference::{HashLabelling2, HashLabelling3};
+use fault_model::{BorderPolicy, Labelling2, Labelling3, NodeStatus};
 use mesh_topo::coord::{c2, c3};
 use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, Parallelism};
 use proptest::prelude::*;
 
 /// Thread budgets exercised against the sequential baseline. 1 is the
-/// fallback path; the rest force real tile fan-out (incl. more threads
+/// one-band path; the rest force real tile fan-out (incl. more threads
 /// than this machine has cores, and more tiles than rows is impossible —
 /// bands() caps at the row count).
 const THREADS: [usize; 4] = [1, 2, 5, 8];
 
+/// The independent closure, indexed like the labelling's canonical space.
+fn reference2(mesh: &Mesh2D, frame: Frame2, policy: BorderPolicy) -> Vec<NodeStatus> {
+    if mesh.space().wraps() {
+        assert_eq!(
+            frame,
+            Frame2::identity(mesh),
+            "torus reference is identity-only"
+        );
+        return worklist_closure_2d(mesh);
+    }
+    let hash = HashLabelling2::compute(mesh, frame, policy);
+    mesh.space().coords().map(|c| hash.status[&c]).collect()
+}
+
+fn reference3(mesh: &Mesh3D, frame: Frame3, policy: BorderPolicy) -> Vec<NodeStatus> {
+    if mesh.space().wraps() {
+        assert_eq!(
+            frame,
+            Frame3::identity(mesh),
+            "torus reference is identity-only"
+        );
+        return worklist_closure_3d(mesh);
+    }
+    let hash = HashLabelling3::compute(mesh, frame, policy);
+    mesh.space().coords().map(|c| hash.status[&c]).collect()
+}
+
 fn assert_lab2_eq(mesh: &Mesh2D, frame: Frame2, policy: BorderPolicy) {
     let seq = Labelling2::compute(mesh, frame, policy);
+    let reference = reference2(mesh, frame, policy);
     for t in THREADS {
         let par = Labelling2::compute_par(mesh, frame, policy, Parallelism::new(t));
-        for ((c, a), (_, b)) in seq.iter().zip(par.iter()) {
+        for (((c, a), (_, b)), r) in seq.iter().zip(par.iter()).zip(&reference) {
             assert_eq!(a, b, "status diverged at {c} with {t} threads");
+            assert_eq!(
+                b, *r,
+                "status diverged from the reference at {c} with {t} threads"
+            );
         }
         assert_eq!(seq.unsafe_set(), par.unsafe_set(), "{t} threads");
         assert_eq!(seq.unsafe_count(), par.unsafe_count());
@@ -31,10 +71,15 @@ fn assert_lab2_eq(mesh: &Mesh2D, frame: Frame2, policy: BorderPolicy) {
 
 fn assert_lab3_eq(mesh: &Mesh3D, frame: Frame3, policy: BorderPolicy) {
     let seq = Labelling3::compute(mesh, frame, policy);
+    let reference = reference3(mesh, frame, policy);
     for t in THREADS {
         let par = Labelling3::compute_par(mesh, frame, policy, Parallelism::new(t));
-        for ((c, a), (_, b)) in seq.iter().zip(par.iter()) {
+        for (((c, a), (_, b)), r) in seq.iter().zip(par.iter()).zip(&reference) {
             assert_eq!(a, b, "status diverged at {c} with {t} threads");
+            assert_eq!(
+                b, *r,
+                "status diverged from the reference at {c} with {t} threads"
+            );
         }
         assert_eq!(seq.unsafe_set(), par.unsafe_set(), "{t} threads");
         assert_eq!(seq.unsafe_count(), par.unsafe_count());

@@ -63,6 +63,30 @@ fn e4_quick_table_matches_golden_snapshot() {
 }
 
 #[test]
+fn e8_clustered_regions_quick_table_matches_golden_snapshot() {
+    // Pins the clustered-fault sampler through the 2-D labelling,
+    // component and block-model region counts.
+    assert_quick_matches_golden("e8_clustered_2d.toml", "e8_clustered_2d_quick.txt");
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "a debug build trips Router3's exact-rule stranding assertion on this table; \
+              run with --release"
+)]
+fn e8_clustered_routing_quick_table_matches_golden_snapshot() {
+    // The only clustered 3-D labelling/routing table: MCC, cuboid-block
+    // and greedy success rates against the oracle. One of its trials
+    // strands the exact-rule 3-D router, which a release build counts as
+    // undelivered and a debug build reports through `debug_assert!`.
+    assert_quick_matches_golden(
+        "e8_clustered_routing_3d.toml",
+        "e8_clustered_routing_3d_quick.txt",
+    );
+}
+
+#[test]
 fn e10_torus_quick_table_matches_golden_snapshot() {
     assert_quick_matches_golden("e10_torus_2d.toml", "e10_torus_2d_quick.txt");
 }

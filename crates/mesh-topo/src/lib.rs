@@ -6,8 +6,6 @@
 //! * [`coord`] — integer lattice coordinates [`C2`] / [`C3`] with Manhattan
 //!   distance and dominance orders,
 //! * [`dir`] — axes and signed unit directions ([`Dir2`], [`Dir3`]),
-//! * [`grid`] — dense row-major storage ([`Grid2`], [`Grid3`]) indexed by
-//!   coordinates,
 //! * [`mesh`] — the mesh networks themselves ([`Mesh2D`], [`Mesh3D`]): bounds,
 //!   neighborhoods and fault sets,
 //! * [`region`] — axis-aligned rectangles and boxes,
@@ -23,8 +21,8 @@
 //! the k-ary n-dimensional mesh, its node addresses and neighborhoods, and
 //! the faulty-node sets the labelling process of Sections 3–4 classifies.
 //!
-//! Everything here is deterministic and allocation-conscious: grids are flat
-//! `Vec`s, fault sets are packed bitsets, neighbor iteration never
+//! Everything here is deterministic and allocation-conscious: node arrays
+//! are flat `Vec`s, fault sets are packed bitsets, neighbor iteration never
 //! allocates, and all random workloads are reproducible from a `u64` seed.
 //!
 //! # Examples
@@ -56,7 +54,6 @@ pub mod coord;
 pub mod dir;
 pub mod faults;
 pub mod frame;
-pub mod grid;
 pub mod mesh;
 pub mod nodeset;
 pub mod par;
@@ -67,7 +64,6 @@ pub use coord::{C2, C3};
 pub use dir::{Axis2, Axis3, Dir2, Dir3};
 pub use faults::{FaultPattern, FaultSpec};
 pub use frame::{Frame2, Frame3};
-pub use grid::{Grid2, Grid3};
 pub use mesh::{Mesh2D, Mesh3D};
 pub use nodeset::{NodeGrid, NodeSet, NodeSpace2, NodeSpace3};
 pub use par::{detected_cores, Parallelism};

@@ -11,8 +11,8 @@
 //! set algebra (union / intersection / difference) is word-parallel.
 //! [`NodeGrid`] is the matching dense value array.
 //!
-//! Index layout matches [`crate::grid::Grid2`] / [`crate::grid::Grid3`]:
-//! `x` fastest, then `y`, then `z` — `i = (z·ny + y)·nx + x`.
+//! Index layout of [`NodeSpace2`] / [`NodeSpace3`]: `x` fastest, then
+//! `y`, then `z` — `i = (z·ny + y)·nx + x`.
 //!
 //! # Examples
 //!
@@ -52,7 +52,7 @@ fn axis_lee(a: i32, b: i32, k: i32) -> u32 {
 
 /// Linearization of a `width × height` 2-D node lattice.
 ///
-/// Row-major, matching [`crate::grid::Grid2`]: `i = y·width + x`.
+/// Row-major, like one plane of [`NodeSpace3`]: `i = y·width + x`.
 ///
 /// A space is either a **mesh** (no wrap-around; neighbor probes past a
 /// border simply do not exist) or a **torus** ([`NodeSpace2::torus`]): every
@@ -69,7 +69,7 @@ pub struct NodeSpace2 {
 
 /// Linearization of an `nx × ny × nz` 3-D node lattice.
 ///
-/// Matches [`crate::grid::Grid3`]: `i = (z·ny + y)·nx + x`. Like
+/// Row-major planes of [`NodeSpace2`] layout: `i = (z·ny + y)·nx + x`. Like
 /// [`NodeSpace2`], the space is either a mesh or (via [`NodeSpace3::torus`])
 /// a wrap-around torus.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
